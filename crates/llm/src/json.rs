@@ -116,24 +116,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Escapes a string as a JSON string literal — the table crate's escaper,
+/// re-exported so every JSON writer in the workspace escapes one way.
+pub use cocoon_table::json::escape;
 
 /// Parses a complete JSON document.
 pub fn parse(input: &str) -> Result<Json> {

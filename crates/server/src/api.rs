@@ -24,14 +24,13 @@
 //! have produced. Symmetrically, `Accept: text/csv` on `/v1/clean` returns
 //! just the cleaned table as `text/csv` instead of the JSON report.
 
-use crate::http::{json_escape, BodyReader, Head, HttpError, Request, Response};
-use crate::ingest::StreamProfiler;
+use crate::http::{json_escape, Head, Request, Response};
 use crate::jobs::{DeleteOutcome, JobStatus};
+use crate::metrics::Counter;
 use crate::reviews::{AcceptOutcome, RejectOutcome};
 use crate::server::AppState;
 use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot, TableProfile};
 use cocoon_llm::Json;
-use cocoon_table::csv::CsvStream;
 use cocoon_table::{csv, json as table_json, Table};
 
 /// A parsed, validated clean request — what travels through the job queue.
@@ -250,8 +249,9 @@ fn datasets_body() -> String {
 }
 
 /// Whether `head` is a CSV-ingest request: a POST to a cleaning endpoint
-/// declaring `Content-Type: text/csv`. Such bodies are streamed through
-/// [`route_csv`] instead of being materialised.
+/// declaring `Content-Type: text/csv`. The event loop parses such bodies
+/// incrementally as they arrive instead of materialising them, then hands
+/// the table to [`route_streamed_csv`].
 pub fn is_csv_ingest(head: &Head) -> bool {
     head.method == "POST"
         && matches!(head.path.as_str(), "/v1/clean" | "/v1/jobs")
@@ -301,53 +301,11 @@ fn job_submitted_response(id: u64) -> Response {
     )
 }
 
-/// Routes one CSV-ingest request ([`is_csv_ingest`]), streaming the body
-/// through the incremental CSV parser — the table never exists as a JSON
-/// document or a single body buffer. CSV syntax errors are 400 responses;
-/// transport and framing failures propagate as [`HttpError`] and are
-/// counted by the connection handler's error path, exactly like a JSON
-/// request whose body failed to materialise — so `requests.total` stays
-/// one count per response sent. Successful reads count like [`route`].
-pub fn route_csv<R: std::io::Read>(
-    state: &AppState,
-    head: &Head,
-    body: &mut BodyReader<'_, R>,
-) -> Result<Response, HttpError> {
-    let response = dispatch_csv(state, head, body)?;
-    state.metrics.count_request();
-    state.metrics.count_status(response.status);
-    Ok(response)
-}
-
-fn dispatch_csv<R: std::io::Read>(
-    state: &AppState,
-    head: &Head,
-    body: &mut BodyReader<'_, R>,
-) -> Result<Response, HttpError> {
-    let mut stream = CsvStream::new();
-    let mut profiler = StreamProfiler::new(state.profile_chunk_rows);
-    let mut chunk = [0u8; 16 * 1024];
-    let (parsed, profile): (std::result::Result<Table, String>, Option<TableProfile>) = loop {
-        let n = body.read(&mut chunk)?;
-        if n == 0 {
-            let profile = profiler.finish(&stream);
-            break (stream.finish_table().map_err(|e| format!("invalid csv: {e}")), profile);
-        }
-        if let Err(e) = stream.push_bytes(&chunk[..n]) {
-            // Abandons the rest of the body; the caller closes the
-            // connection after delivering this 400.
-            break (Err(format!("invalid csv: {e}")), None);
-        }
-        profiler.observe(&stream);
-    };
-    Ok(finish_csv_clean(state, head, parsed, profile))
-}
-
 /// Routes one CSV-ingest request whose body the *event loop* already
-/// streamed through [`CsvStream`] (`parsed` carries the table or the CSV
-/// syntax error). The nonblocking twin of [`route_csv`]: same counting,
-/// same responses, but the parse happened incrementally as bytes arrived,
-/// so the worker only ever runs the clean.
+/// streamed through [`cocoon_table::csv::CsvStream`] (`parsed` carries the
+/// table or the CSV syntax error). It counts like [`route`]; the parse
+/// happened incrementally as bytes arrived, so the worker only ever runs
+/// the clean.
 pub fn route_streamed_csv(
     state: &AppState,
     head: &Head,
@@ -355,13 +313,13 @@ pub fn route_streamed_csv(
     profile: Option<TableProfile>,
 ) -> Response {
     let response = finish_csv_clean(state, head, parsed, profile);
-    state.metrics.count_request();
-    state.metrics.count_status(response.status);
+    state.metrics.count(Counter::Requests);
+    state.metrics.record_status(response.status);
     response
 }
 
-/// The shared tail of both CSV-ingest paths: counts the endpoint, rejects
-/// parse failures and empty tables, then cleans or submits.
+/// Counts the endpoint a CSV ingest aimed at, rejects parse failures and
+/// empty tables, then cleans or submits.
 fn finish_csv_clean(
     state: &AppState,
     head: &Head,
@@ -373,8 +331,8 @@ fn finish_csv_clean(
     // (like a malformed JSON body), but a framing/transport failure is the
     // connection handler's to count, like any other unreadable request.
     match head.path.as_str() {
-        "/v1/clean" => state.metrics.count_clean(),
-        _ => state.metrics.count_job_submitted(),
+        "/v1/clean" => state.metrics.count(Counter::Clean),
+        _ => state.metrics.count(Counter::JobsSubmitted),
     }
     let table = match parsed {
         Ok(table) => table,
@@ -404,9 +362,9 @@ fn finish_csv_clean(
 /// Routes one request to its handler and counts it. The returned response
 /// is ready to serialise.
 pub fn route(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_request();
+    state.metrics.count(Counter::Requests);
     let response = dispatch(state, request);
-    state.metrics.count_status(response.status);
+    state.metrics.record_status(response.status);
     response
 }
 
@@ -424,7 +382,7 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
         },
         "/v1/datasets" => match method {
             "GET" => {
-                state.metrics.count_datasets();
+                state.metrics.count(Counter::Datasets);
                 Response::json(200, datasets_body())
             }
             _ => Response::error(405, "use GET /v1/datasets"),
@@ -435,14 +393,14 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
         },
         "/v1/metrics" => match method {
             "GET" => {
-                state.metrics.count_metrics();
+                state.metrics.count(Counter::MetricsReads);
                 Response::json(200, state.metrics_body())
             }
             _ => Response::error(405, "use GET /v1/metrics"),
         },
         "/metrics" => match method {
             "GET" => {
-                state.metrics.count_metrics();
+                state.metrics.count(Counter::MetricsReads);
                 Response::text(200, "text/plain; version=0.0.4", state.prometheus_body())
             }
             _ => Response::error(405, "use GET /metrics"),
@@ -463,7 +421,7 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_clean(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_clean();
+    state.metrics.count(Counter::Clean);
     let payload = match parse_clean_payload(&request.body) {
         Ok(payload) => payload,
         Err(message) => return Response::error(400, &message),
@@ -475,7 +433,7 @@ fn handle_clean(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_submit(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_job_submitted();
+    state.metrics.count(Counter::JobsSubmitted);
     // Validate up front so submitters learn about bad requests now, not
     // from a failed poll later.
     let payload = match parse_clean_payload(&request.body) {
@@ -489,7 +447,7 @@ fn handle_submit(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_poll(state: &AppState, id: &str, accept_csv: bool) -> Response {
-    state.metrics.count_job_polled();
+    state.metrics.count(Counter::JobsPolled);
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, &format!("job id must be an integer, got {id:?}"));
     };
@@ -517,7 +475,7 @@ fn result_csv(result: Option<&str>) -> Option<String> {
 }
 
 fn handle_delete(state: &AppState, id: &str) -> Response {
-    state.metrics.count_job_deleted();
+    state.metrics.count(Counter::JobsDeleted);
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, &format!("job id must be an integer, got {id:?}"));
     };
@@ -537,7 +495,7 @@ fn handle_delete(state: &AppState, id: &str) -> Response {
 
 /// `GET /v1/reviews` — every retained review item, in id order.
 fn handle_reviews_list(state: &AppState) -> Response {
-    state.metrics.count_reviews_listed();
+    state.metrics.count(Counter::ReviewsListed);
     let mut out = String::from("{\"reviews\": [");
     let views = state.reviews.list();
     for (i, view) in views.iter().enumerate() {
@@ -580,7 +538,7 @@ fn handle_review_action(state: &AppState, rest: &str) -> Response {
     };
     match action {
         "accept" => {
-            state.metrics.count_review_accepted();
+            state.metrics.count(Counter::ReviewAccepts);
             match state.reviews.accept(id) {
                 AcceptOutcome::Applied { cells_changed, csv } => Response::json(
                     200,
@@ -598,7 +556,7 @@ fn handle_review_action(state: &AppState, rest: &str) -> Response {
             }
         }
         "reject" => {
-            state.metrics.count_review_rejected();
+            state.metrics.count(Counter::ReviewRejects);
             match state.reviews.reject(id) {
                 RejectOutcome::Rejected => {
                     Response::json(200, format!("{{\"id\": {id}, \"status\": \"rejected\"}}"))
@@ -616,6 +574,8 @@ fn handle_review_action(state: &AppState, rest: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{read_request, RequestReader};
+    use crate::obs::endpoint_label;
     use cocoon_core::Cleaner;
     use cocoon_llm::SimLlm;
 
@@ -704,6 +664,36 @@ mod tests {
         // Without include_rows the field is absent.
         let lean = clean_response_body(&run, false);
         assert!(cocoon_llm::json::parse(&lean).unwrap().get("cleaned_rows").is_none());
+    }
+
+    #[test]
+    fn every_routed_path_has_an_endpoint_label() {
+        // No route takes PUT, so a PUT answers 405 on exactly the paths
+        // `dispatch` routes and 404 everywhere else.
+        let state = AppState::new(&crate::ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        });
+        let put = |path: &str| {
+            let raw = format!("PUT {path} HTTP/1.1\r\n\r\n");
+            route(&state, &read_request(&mut RequestReader::new(raw.as_bytes(), 1024)).unwrap())
+        };
+        for path in [
+            "/v1/clean",
+            "/v1/jobs",
+            "/v1/jobs/7",
+            "/v1/reviews",
+            "/v1/reviews/7/accept",
+            "/v1/reviews/7/reject",
+            "/v1/datasets",
+            "/v1/metrics",
+            "/metrics",
+        ] {
+            assert_eq!(put(path).status, 405, "{path} is routed");
+            assert_ne!(endpoint_label(path), "other", "{path}");
+        }
+        assert_eq!(put("/v1/nope").status, 404);
+        assert_eq!(endpoint_label("/v1/nope"), "other");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use crate::api;
 use crate::http::{BodyProgress, Head, HttpError, Request, RequestReader, Response};
 use crate::ingest::StreamProfiler;
+use crate::metrics::Counter;
 use crate::obs::{endpoint_label, RequestTrace};
 use crate::server::AppState;
 use cocoon_profile::TableProfile;
@@ -429,7 +430,7 @@ fn close_conn(
         let _ = shard.poller.remove(conn.fd());
         state.metrics.conn_closed();
         if reaped {
-            state.metrics.count_idle_reaped();
+            state.metrics.count(Counter::IdleReaped);
         }
     }
 }
@@ -458,15 +459,15 @@ fn drain_accepts(
         if state.shutdown_requested() {
             return;
         }
-        if state.metrics.open_connections() >= state.max_conns {
+        if state.metrics.get(Counter::ConnectionsOpen) >= state.max_conns {
             // The connection cap: refuse loudly rather than registering
             // without bound.
-            state.metrics.count_connection_rejected();
-            state.metrics.count_status(503);
+            state.metrics.count(Counter::ConnectionsRejected);
+            state.metrics.record_status(503);
             refuse_busy(stream);
             continue;
         }
-        state.metrics.count_connection_accepted();
+        state.metrics.count(Counter::ConnectionsAccepted);
         let target = state.next_shard() % state.shards.len();
         if target == shard_index {
             register_conn(state, shard, conns, next_token, stream);
@@ -686,8 +687,8 @@ fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, kind: WorkKind, reusable: bool, drai
         conn.phase = Phase::Dispatched;
         Next::Keep
     } else {
-        ctx.state.metrics.count_connection_rejected();
-        ctx.state.metrics.count_status(503);
+        ctx.state.metrics.count(Counter::ConnectionsRejected);
+        ctx.state.metrics.record_status(503);
         let response = Response::error(503, "server is at capacity; retry shortly");
         start_write(ctx, conn, response, false, drain)
     }
@@ -698,8 +699,8 @@ fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, kind: WorkKind, reusable: bool, drai
 fn fail_request(ctx: &Ctx<'_>, conn: &mut Conn, error: &HttpError) -> Next {
     match error.status() {
         Some(status) => {
-            ctx.state.metrics.count_request();
-            ctx.state.metrics.count_status(status);
+            ctx.state.metrics.count(Counter::Requests);
+            ctx.state.metrics.record_status(status);
             let response = Response::error(status, &error.to_string());
             // The client may still be mid-send (oversized or malformed
             // body): drain before closing so the response survives.
@@ -786,7 +787,7 @@ fn drive_write(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if !*counted {
                     *counted = true;
-                    ctx.state.metrics.count_partial_write();
+                    ctx.state.metrics.count(Counter::PartialWrites);
                 }
                 conn.want = Interest::WRITE;
                 return Next::Keep;

@@ -9,11 +9,11 @@
 //!   reads (a [`RequestReader`] buffers across `read` calls and carries
 //!   pipelined leftovers to the next request),
 //! * bodies via `Content-Length` **or** `Transfer-Encoding: chunked`, with
-//!   a hard size cap (over-cap → 413, malformed → 400) — readable either
-//!   *incrementally* through a [`BodyReader`] (the streaming CSV ingest
-//!   path: head first via [`RequestReader::next_head`], then body chunks
-//!   as they arrive off the socket) or materialised in one step via
-//!   [`RequestReader::next_request`] (the JSON path),
+//!   a hard size cap (over-cap → 413, malformed → 400), read resumably:
+//!   the head via [`RequestReader::next_head`], then body bytes as they
+//!   arrive via [`RequestReader::begin_body`] and
+//!   [`RequestReader::read_body`], suspending losslessly whenever a
+//!   nonblocking source runs dry,
 //! * HTTP/1.1 keep-alive semantics (1.1 persistent by default, 1.0 only
 //!   with `Connection: keep-alive`, `Connection: close` always wins),
 //! * response serialisation with `Content-Length` framing.
@@ -43,8 +43,7 @@ pub enum BodyFraming {
 }
 
 /// A parsed request head — everything before the body. Obtained from
-/// [`RequestReader::next_head`] when the handler wants to stream the body
-/// instead of materialising it.
+/// [`RequestReader::next_head`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Head {
     /// Request method, as sent (`GET`, `POST`, `DELETE`, …).
@@ -173,18 +172,9 @@ impl<R: Read> RequestReader<R> {
         std::mem::replace(&mut self.buffer, rest)
     }
 
-    /// Reads the next request, materialising its body. [`HttpError::Closed`]
-    /// means the peer hung up cleanly between requests.
-    pub fn next_request(&mut self) -> Result<Request, HttpError> {
-        let head = self.next_head()?;
-        let mut body = Vec::new();
-        self.body(&head).read_to_end_into(&mut body)?;
-        Ok(Request::from_parts(head, body))
-    }
-
     /// Reads the next request *head* only, leaving the body on the wire for
-    /// [`body`](Self::body) to stream. [`HttpError::Closed`] means the peer
-    /// hung up cleanly between requests.
+    /// [`read_body`](Self::read_body) to stream. [`HttpError::Closed`] means
+    /// the peer hung up cleanly between requests.
     pub fn next_head(&mut self) -> Result<Head, HttpError> {
         // Head: everything up to the blank line.
         let head_end = loop {
@@ -279,22 +269,15 @@ impl<R: Read> RequestReader<R> {
         Ok(Head { method: method.to_string(), path, headers, framing, keep_alive })
     }
 
-    /// A streaming reader over the body that `head` frames. Call after
-    /// [`next_head`](Self::next_head); the body **must** be read to
-    /// completion ([`BodyReader::is_complete`]) before this connection can
-    /// serve another request — a handler that abandons a body mid-stream
-    /// must close the connection.
-    pub fn body<'a>(&'a mut self, head: &Head) -> BodyReader<'a, R> {
-        BodyReader { progress: self.begin_body(head), reader: self }
-    }
-
     /// Starts tracking the body that `head` frames as an owned
-    /// [`BodyProgress`] value — the resumable form of [`body`](Self::body).
-    /// An event-driven caller stores the progress beside the reader and
-    /// calls [`read_body`](Self::read_body) each time the socket turns
-    /// readable; a [`WouldBlock`](std::io::ErrorKind::WouldBlock) read
-    /// loses nothing, because all framing state lives in the progress
-    /// value and the reader's buffer.
+    /// [`BodyProgress`] value. The body **must** be read to completion
+    /// ([`BodyProgress::is_complete`]) before this connection can serve
+    /// another request; a handler that abandons a body mid-stream must close
+    /// the connection. An event-driven caller stores the progress beside the
+    /// reader and calls [`read_body`](Self::read_body) each time the socket
+    /// turns readable; a [`WouldBlock`](std::io::ErrorKind::WouldBlock) read
+    /// loses nothing, because all framing state lives in the progress value
+    /// and the reader's buffer.
     pub fn begin_body(&self, head: &Head) -> BodyProgress {
         let state = match head.framing {
             BodyFraming::None | BodyFraming::Length(0) => BodyState::Done,
@@ -456,8 +439,8 @@ enum BodyState {
     Done,
 }
 
-/// Resumable progress through one request's body — the owned counterpart
-/// of [`BodyReader`], advanced by [`RequestReader::read_body`].
+/// Resumable progress through one request's body, advanced by
+/// [`RequestReader::read_body`].
 #[derive(Debug, Clone, Copy)]
 pub struct BodyProgress {
     state: BodyState,
@@ -473,47 +456,18 @@ impl BodyProgress {
     }
 }
 
-/// Streams one request's body off the connection, chunk-decoding and
-/// cap-enforcing as bytes arrive — the handler sees plain body bytes
-/// regardless of wire framing, without the body ever being materialised.
-///
-/// Obtained from [`RequestReader::body`]. Dropping a reader mid-body leaves
-/// unread body bytes on the connection; the caller must then close it
-/// (checking [`is_complete`](Self::is_complete)) or the next "request"
-/// would be parsed out of body bytes.
-pub struct BodyReader<'a, R> {
-    reader: &'a mut RequestReader<R>,
-    progress: BodyProgress,
-}
-
-impl<R: Read> BodyReader<'_, R> {
-    /// Delivers some body bytes into `buf`; `Ok(0)` means the body is
-    /// complete — or that `buf` was empty, which no-ops rather than
-    /// misreading a zero-length transfer as source EOF. Over-cap chunked
-    /// bodies fail with [`HttpError::PayloadTooLarge`] the moment the
-    /// declared chunk sizes cross the cap.
-    pub fn read(&mut self, buf: &mut [u8]) -> Result<usize, HttpError> {
-        self.reader.read_body(&mut self.progress, buf)
-    }
-
-    /// True once the whole body has been delivered — the condition for the
-    /// connection to be reusable.
-    pub fn is_complete(&self) -> bool {
-        self.progress.is_complete()
-    }
-
-    /// Materialises the rest of the body into `out` (the JSON path).
-    pub fn read_to_end_into(&mut self, out: &mut Vec<u8>) -> Result<(), HttpError> {
-        if let BodyState::Fixed { remaining } = self.progress.state {
-            out.reserve(remaining);
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let n = self.read(&mut chunk)?;
-            if n == 0 {
-                return Ok(());
-            }
-            out.extend_from_slice(&chunk[..n]);
+/// Reads one whole request the way the event loop does — the head, then
+/// the body to completion — for tests that want it materialised.
+#[cfg(test)]
+pub(crate) fn read_request<R: Read>(reader: &mut RequestReader<R>) -> Result<Request, HttpError> {
+    let head = reader.next_head()?;
+    let mut progress = reader.begin_body(&head);
+    let mut body = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match reader.read_body(&mut progress, &mut chunk)? {
+            0 => return Ok(Request::from_parts(head, body)),
+            n => body.extend_from_slice(&chunk[..n]),
         }
     }
 }
@@ -688,7 +642,7 @@ mod tests {
     }
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        RequestReader::new(raw, DEFAULT_MAX_BODY_BYTES).next_request()
+        read_request(&mut RequestReader::new(raw, DEFAULT_MAX_BODY_BYTES))
     }
 
     #[test]
@@ -714,7 +668,7 @@ mod tests {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nX-Key: split value\r\n\r\nabcde";
         for step in [1, 2, 3, 7] {
             let mut reader = RequestReader::new(Trickle::new(raw, step), 1024);
-            let req = reader.next_request().unwrap();
+            let req = read_request(&mut reader).unwrap();
             assert_eq!(req.body, b"abcde", "step {step}");
             assert_eq!(req.header("x-key"), Some("split value"), "step {step}");
         }
@@ -747,7 +701,7 @@ mod tests {
     #[test]
     fn oversized_declared_body_is_413() {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 999\r\n\r\n";
-        let err = RequestReader::new(raw.as_slice(), 100).next_request().unwrap_err();
+        let err = read_request(&mut RequestReader::new(raw.as_slice(), 100)).unwrap_err();
         assert!(matches!(err, HttpError::PayloadTooLarge));
         assert_eq!(err.status(), Some(413));
     }
@@ -755,7 +709,7 @@ mod tests {
     #[test]
     fn oversized_chunked_body_is_413() {
         let raw = b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nff\r\n";
-        let err = RequestReader::new(raw.as_slice(), 100).next_request().unwrap_err();
+        let err = read_request(&mut RequestReader::new(raw.as_slice(), 100)).unwrap_err();
         assert!(matches!(err, HttpError::PayloadTooLarge));
     }
 
@@ -771,7 +725,7 @@ mod tests {
                     4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n";
         for step in [1, 3, 1024] {
             let mut reader = RequestReader::new(Trickle::new(raw, step), 1024);
-            let req = reader.next_request().unwrap();
+            let req = read_request(&mut reader).unwrap();
             assert_eq!(req.body, b"Wikipedia", "step {step}");
         }
     }
@@ -811,11 +765,11 @@ mod tests {
     fn pipelined_requests_on_one_connection() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
         let mut reader = RequestReader::new(raw.as_slice(), 1024);
-        assert_eq!(reader.next_request().unwrap().path, "/a");
-        let second = reader.next_request().unwrap();
+        assert_eq!(read_request(&mut reader).unwrap().path, "/a");
+        let second = read_request(&mut reader).unwrap();
         assert_eq!(second.path, "/b");
         assert_eq!(second.body, b"hi");
-        assert!(matches!(reader.next_request(), Err(HttpError::Closed)));
+        assert!(matches!(read_request(&mut reader), Err(HttpError::Closed)));
     }
 
     #[test]
@@ -860,26 +814,28 @@ mod tests {
     #[test]
     fn streamed_body_matches_materialised_body() {
         // Content-Length and chunked framings, trickled at awkward step
-        // sizes, must deliver exactly the bytes next_request() would.
+        // sizes and read 3 bytes at a time, must deliver exactly the bytes
+        // a whole-request read materialises.
         let fixed = b"POST /p HTTP/1.1\r\nContent-Length: 9\r\n\r\nwiki body";
         let chunked = b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                         4\r\nwiki\r\n5\r\n body\r\n0\r\n\r\n";
         for raw in [fixed.as_slice(), chunked.as_slice()] {
+            assert_eq!(parse(raw).unwrap().body, b"wiki body");
             for step in [1, 3, 7, 1024] {
                 let mut reader = RequestReader::new(Trickle::new(raw, step), 1024);
                 let head = reader.next_head().unwrap();
                 assert_eq!(head.method, "POST");
-                let mut body = reader.body(&head);
+                let mut progress = reader.begin_body(&head);
                 let mut collected = Vec::new();
                 let mut buf = [0u8; 3];
                 loop {
-                    let n = body.read(&mut buf).unwrap();
+                    let n = reader.read_body(&mut progress, &mut buf).unwrap();
                     if n == 0 {
                         break;
                     }
                     collected.extend_from_slice(&buf[..n]);
                 }
-                assert!(body.is_complete());
+                assert!(progress.is_complete());
                 assert_eq!(collected, b"wiki body", "step {step}");
             }
         }
@@ -892,8 +848,8 @@ mod tests {
         let raw = b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n0123456789";
         let mut reader = RequestReader::new(raw.as_slice(), 32);
         let head = reader.next_head().unwrap();
-        let mut body = reader.body(&head);
-        let err = body.read(&mut [0u8; 256]).unwrap_err();
+        let mut progress = reader.begin_body(&head);
+        let err = reader.read_body(&mut progress, &mut [0u8; 256]).unwrap_err();
         assert!(matches!(err, HttpError::PayloadTooLarge));
     }
 
@@ -902,9 +858,9 @@ mod tests {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789";
         let mut reader = RequestReader::new(raw.as_slice(), 1024);
         let head = reader.next_head().unwrap();
-        let mut body = reader.body(&head);
-        body.read(&mut [0u8; 4]).unwrap();
-        assert!(!body.is_complete(), "6 bytes still unread");
+        let mut progress = reader.begin_body(&head);
+        reader.read_body(&mut progress, &mut [0u8; 4]).unwrap();
+        assert!(!progress.is_complete(), "6 bytes still unread");
     }
 
     #[test]
@@ -912,9 +868,9 @@ mod tests {
         let mut reader = RequestReader::new(b"GET / HTTP/1.1\r\n\r\n".as_slice(), 1024);
         let head = reader.next_head().unwrap();
         assert_eq!(head.framing, BodyFraming::None);
-        let mut body = reader.body(&head);
-        assert!(body.is_complete());
-        assert_eq!(body.read(&mut [0u8; 8]).unwrap(), 0);
+        let mut progress = reader.begin_body(&head);
+        assert!(progress.is_complete());
+        assert_eq!(reader.read_body(&mut progress, &mut [0u8; 8]).unwrap(), 0);
     }
 
     #[test]
@@ -925,10 +881,14 @@ mod tests {
                     GET /b HTTP/1.1\r\n\r\n";
         let mut reader = RequestReader::new(raw.as_slice(), 1024);
         let head = reader.next_head().unwrap();
+        let mut progress = reader.begin_body(&head);
+        let mut buf = [0u8; 1];
         let mut collected = Vec::new();
-        reader.body(&head).read_to_end_into(&mut collected).unwrap();
+        while reader.read_body(&mut progress, &mut buf).unwrap() > 0 {
+            collected.push(buf[0]);
+        }
         assert_eq!(collected, b"hi");
-        assert_eq!(reader.next_request().unwrap().path, "/b");
+        assert_eq!(read_request(&mut reader).unwrap().path, "/b");
     }
 
     #[test]
@@ -1018,11 +978,13 @@ mod tests {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
         let mut reader = RequestReader::new(raw.as_slice(), 1024);
         let head = reader.next_head().unwrap();
-        let mut body = reader.body(&head);
-        assert_eq!(body.read(&mut []).unwrap(), 0, "empty buffer is a no-op");
-        assert!(!body.is_complete(), "the body is still there");
-        let mut collected = Vec::new();
-        body.read_to_end_into(&mut collected).unwrap();
-        assert_eq!(collected, b"hello");
+        let mut progress = reader.begin_body(&head);
+        assert_eq!(reader.read_body(&mut progress, &mut []).unwrap(), 0, "empty buffer is a no-op");
+        assert!(!progress.is_complete(), "the body is still there");
+        let mut buf = [0u8; 8];
+        assert_eq!(reader.read_body(&mut progress, &mut buf).unwrap(), 5);
+        assert_eq!(&buf[..5], b"hello");
+        assert_eq!(reader.read_body(&mut progress, &mut buf).unwrap(), 0);
+        assert!(progress.is_complete());
     }
 }

@@ -14,7 +14,7 @@
 //! | `DELETE /v1/jobs/{id}` | Cancel a queued job / free a finished one |
 //! | `GET /v1/datasets` | The benchmark catalog (paper Table 1 datasets) |
 //! | `GET /v1/metrics` | Request counters, work-queue and connection state (open/peak/reaped/partial writes), LLM cache hit/miss/eviction, dispatcher and job-store state, and per-endpoint / per-stage latency percentiles |
-//! | `GET /metrics` | The same counters and latency histograms in Prometheus text exposition format |
+//! | `GET /metrics` | The same counters and gauges, declared once in the [`metrics`] registry, plus the latency histograms, in Prometheus text exposition format |
 //!
 //! The full request/response reference lives in `docs/API.md` at the repo
 //! root; `docs/ARCHITECTURE.md` traces a request end to end.
@@ -24,8 +24,7 @@
 //! * [`http`] — vendored mini HTTP/1.1 (no crates.io in the build env), in
 //!   the spirit of the `crates/compat` shims: split-read-safe parsing that
 //!   suspends losslessly on `WouldBlock` (heads *and* bodies, fixed or
-//!   chunked), bodies readable incrementally ([`http::BodyReader`]) or
-//!   materialised, keep-alive, 413 body caps.
+//!   chunked), keep-alive, 413 body caps.
 //! * [`server`] — a readiness-driven core on a vendored epoll shim
 //!   (`crates/compat/poller`): a few event threads own every socket
 //!   nonblocking and parse incrementally, so 10k+ idle keep-alive
@@ -73,7 +72,7 @@ pub mod server;
 pub use api::CleanPayload;
 pub use http::{Request, Response};
 pub use jobs::{DeleteOutcome, JobCounts, JobStatus, JobStore, JobView};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Metrics};
 pub use obs::{FinishedTrace, LogFormat, RequestTrace, ServerObs};
 pub use reviews::{
     AcceptOutcome, RejectOutcome, ReviewCounts, ReviewStatus, ReviewStore, ReviewView,

@@ -93,8 +93,17 @@ const RECENT_TRACES: usize = 64;
 
 /// The endpoint labels latency is bucketed under. `"other"` absorbs 404s
 /// and requests that failed before routing.
-pub const ENDPOINTS: [&str; 7] =
-    ["/v1/clean", "/v1/jobs", "/v1/jobs/{id}", "/v1/datasets", "/v1/metrics", "/metrics", "other"];
+pub const ENDPOINTS: [&str; 9] = [
+    "/v1/clean",
+    "/v1/jobs",
+    "/v1/jobs/{id}",
+    "/v1/reviews",
+    "/v1/reviews/{id}",
+    "/v1/datasets",
+    "/v1/metrics",
+    "/metrics",
+    "other",
+];
 
 /// The Prometheus `le` bucket bounds, in seconds.
 const PROM_BUCKETS_SECS: [f64; 10] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0];
@@ -107,7 +116,9 @@ pub fn endpoint_label(path: &str) -> &'static str {
         "/v1/datasets" => "/v1/datasets",
         "/v1/metrics" => "/v1/metrics",
         "/metrics" => "/metrics",
+        "/v1/reviews" => "/v1/reviews",
         p if p.starts_with("/v1/jobs/") => "/v1/jobs/{id}",
+        p if p.starts_with("/v1/reviews/") => "/v1/reviews/{id}",
         _ => "other",
     }
 }
@@ -485,6 +496,8 @@ mod tests {
     fn endpoint_labels_normalise() {
         assert_eq!(endpoint_label("/v1/clean"), "/v1/clean");
         assert_eq!(endpoint_label("/v1/jobs/17"), "/v1/jobs/{id}");
+        assert_eq!(endpoint_label("/v1/reviews"), "/v1/reviews");
+        assert_eq!(endpoint_label("/v1/reviews/3/accept"), "/v1/reviews/{id}");
         assert_eq!(endpoint_label("/metrics"), "/metrics");
         assert_eq!(endpoint_label("/nope"), "other");
         for label in ENDPOINTS {

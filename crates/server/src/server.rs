@@ -26,7 +26,7 @@ use crate::metrics::Metrics;
 use crate::obs::{self, LogFormat, ServerObs};
 use crate::reviews::ReviewStore;
 use cocoon_core::{AutoApprove, Cleaner, CleaningRun, RunProgress};
-use cocoon_llm::{CachedLlm, ChatModel, CoalescingDispatcher, DispatcherConfig, SimLlm};
+use cocoon_llm::{CachedLlm, CoalescingDispatcher, DispatcherConfig, SimLlm};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -232,162 +232,6 @@ impl AppState {
         self.reviews.register(&run, job);
         Ok(run)
     }
-
-    /// The `/v1/metrics` body: request counters, work-queue and
-    /// connection state, the live LLM cache and dispatcher figures, and
-    /// job-store state.
-    pub fn metrics_body(&self) -> String {
-        let m = self.metrics.snapshot();
-        let d = self.llm.inner().stats();
-        let j = self.jobs.counts();
-        let r = self.reviews.counts();
-        format!(
-            "{{\"requests\": {{\"total\": {}, \"clean\": {}, \"jobs_submitted\": {}, \
-             \"jobs_polled\": {}, \"jobs_deleted\": {}, \"datasets\": {}, \"metrics\": {}, \
-             \"responses_4xx\": {}, \"responses_5xx\": {}}}, \
-             \"accept\": {{\"accepted\": {}, \"rejected_busy\": {}, \"queue_depth\": {}, \
-             \"queue_capacity\": {}}}, \
-             \"connections\": {{\"open\": {}, \"peak\": {}, \"idle_reaped\": {}, \
-             \"partial_writes\": {}, \"event_threads\": {}}}, \
-             \"llm\": {{\"model\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_evictions\": {}, \"cached_responses\": {}, \"cache_capacity\": {}, \
-             \"dispatcher\": {{\"coalesced\": {}, \"batches\": {}, \"batched_prompts\": {}, \
-             \"rate_limit_waits\": {}, \"rate_limited_ms\": {}}}}}, \
-             \"jobs\": {{\"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \
-             \"expired\": {}, \"deleted\": {}, \"queue_depth\": {}}}, \
-             \"reviews\": {{\"listed\": {}, \"accept_requests\": {}, \"reject_requests\": {}, \
-             \"pending\": {}, \"accepted\": {}, \"rejected\": {}, \"dropped\": {}}}, \
-             \"latency\": {}}}",
-            m.requests_total,
-            m.clean_requests,
-            m.jobs_submitted,
-            m.jobs_polled,
-            m.jobs_deleted,
-            m.dataset_requests,
-            m.metrics_requests,
-            m.responses_4xx,
-            m.responses_5xx,
-            m.connections_accepted,
-            m.connections_rejected,
-            self.work.depth(),
-            self.work.capacity,
-            m.connections_open,
-            m.connections_peak,
-            m.idle_reaped,
-            m.partial_writes,
-            self.shards.len(),
-            crate::http::json_escape(self.llm.model_name()),
-            self.llm.hits(),
-            self.llm.misses(),
-            self.llm.evictions(),
-            self.llm.len(),
-            match self.llm.capacity() {
-                Some(capacity) => capacity.to_string(),
-                None => "null".to_string(),
-            },
-            d.coalesced,
-            d.batches,
-            d.batched_prompts,
-            d.rate_limit_waits,
-            d.rate_limited_ms,
-            j.queued,
-            j.running,
-            j.done,
-            j.failed,
-            j.expired,
-            j.deleted,
-            self.jobs.depth(),
-            m.reviews_listed,
-            m.reviews_accepted,
-            m.reviews_rejected,
-            r.pending,
-            r.accepted,
-            r.rejected,
-            r.dropped,
-            self.obs.latency_json(),
-        )
-    }
-
-    /// The `GET /metrics` body: the same counters and histograms in
-    /// Prometheus text exposition format (`text/plain; version=0.0.4`).
-    pub fn prometheus_body(&self) -> String {
-        let m = self.metrics.snapshot();
-        let j = self.jobs.counts();
-        let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, kind: &str, value: usize| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"));
-        };
-        counter(
-            "cocoon_requests_total",
-            "Requests routed, all endpoints.",
-            "counter",
-            m.requests_total,
-        );
-        counter(
-            "cocoon_responses_4xx_total",
-            "Responses with a 4xx status.",
-            "counter",
-            m.responses_4xx,
-        );
-        counter(
-            "cocoon_responses_5xx_total",
-            "Responses with a 5xx status.",
-            "counter",
-            m.responses_5xx,
-        );
-        counter(
-            "cocoon_connections_accepted_total",
-            "Connections accepted into an event loop.",
-            "counter",
-            m.connections_accepted,
-        );
-        counter(
-            "cocoon_connections_rejected_total",
-            "Connections refused with a fast 503 at saturation.",
-            "counter",
-            m.connections_rejected,
-        );
-        counter(
-            "cocoon_connections_open",
-            "Connections open right now.",
-            "gauge",
-            m.connections_open,
-        );
-        counter(
-            "cocoon_connections_peak",
-            "High-water mark of open connections.",
-            "gauge",
-            m.connections_peak,
-        );
-        counter(
-            "cocoon_work_queue_depth",
-            "Complete requests waiting for a worker.",
-            "gauge",
-            self.work.depth(),
-        );
-        counter("cocoon_jobs_queued", "Jobs waiting in the async queue.", "gauge", j.queued);
-        counter("cocoon_jobs_running", "Jobs being cleaned right now.", "gauge", j.running);
-        counter(
-            "cocoon_reviews_pending",
-            "Low-confidence repairs waiting for a reviewer.",
-            "gauge",
-            self.reviews.counts().pending,
-        );
-        counter(
-            "cocoon_llm_cache_hits_total",
-            "Completion cache hits.",
-            "counter",
-            self.llm.hits(),
-        );
-        counter(
-            "cocoon_llm_cache_misses_total",
-            "Completion cache misses.",
-            "counter",
-            self.llm.misses(),
-        );
-        self.obs.prometheus_histograms(&mut out);
-        out
-    }
 }
 
 /// A bound-but-not-yet-serving server.
@@ -530,7 +374,7 @@ fn job_loop(state: &AppState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{Request, RequestReader};
+    use crate::http::{read_request, Request, RequestReader};
 
     fn test_state() -> AppState {
         AppState::new(&ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
@@ -538,19 +382,17 @@ mod tests {
 
     fn post(path: &str, body: &str) -> Request {
         let raw = format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-        RequestReader::new(raw.as_bytes(), DEFAULT_MAX_BODY_BYTES).next_request().unwrap()
+        read_request(&mut RequestReader::new(raw.as_bytes(), DEFAULT_MAX_BODY_BYTES)).unwrap()
     }
 
     fn get(path: &str) -> Request {
-        RequestReader::new(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes(), 1024)
-            .next_request()
-            .unwrap()
+        let raw = format!("GET {path} HTTP/1.1\r\n\r\n");
+        read_request(&mut RequestReader::new(raw.as_bytes(), 1024)).unwrap()
     }
 
     fn delete(path: &str) -> Request {
-        RequestReader::new(format!("DELETE {path} HTTP/1.1\r\n\r\n").as_bytes(), 1024)
-            .next_request()
-            .unwrap()
+        let raw = format!("DELETE {path} HTTP/1.1\r\n\r\n");
+        read_request(&mut RequestReader::new(raw.as_bytes(), 1024)).unwrap()
     }
 
     /// Runs the queued job inline (no worker threads in unit tests),
@@ -669,6 +511,74 @@ mod tests {
         {
             assert_eq!(reviews.get(field).unwrap().as_f64(), Some(0.0), "{field}");
         }
+    }
+
+    /// `/v1/metrics` after [`golden_traffic`], as the hand-written renderer
+    /// produced it before the metrics registry replaced it. Latency
+    /// percentiles are wall-clock and masked as `_`; their counts are not.
+    /// The model name is the backend's own and reads `<model>`.
+    const GOLDEN_METRICS: &str = concat!(
+        r#"{"requests": {"total": 6, "clean": 1, "jobs_submitted": 1, "jobs_polled": 1, "#,
+        r#""jobs_deleted": 0, "datasets": 1, "metrics": 0, "responses_4xx": 1, "#,
+        r#""responses_5xx": 0}, "accept": {"accepted": 0, "rejected_busy": 0, "#,
+        r#""queue_depth": 0, "queue_capacity": 64}, "connections": {"open": 0, "peak": 0, "#,
+        r#""idle_reaped": 0, "partial_writes": 0, "event_threads": 1}, "#,
+        r#""llm": {"model": "<model>", "cache_hits": 8, "cache_misses": 8, "#,
+        r#""cache_evictions": 0, "cached_responses": 8, "cache_capacity": 16384, "#,
+        r#""dispatcher": {"coalesced": 0, "batches": 8, "batched_prompts": 8, "#,
+        r#""rate_limit_waits": 0, "rate_limited_ms": 0}}, "jobs": {"queued": 0, "running": 0, "#,
+        r#""done": 1, "failed": 0, "expired": 0, "deleted": 0, "queue_depth": 0}, "#,
+        r#""reviews": {"listed": 1, "accept_requests": 0, "reject_requests": 0, "pending": 0, "#,
+        r#""accepted": 0, "rejected": 0, "dropped": 0}, "latency": {"endpoints": {}, "#,
+        r#""stages": {"String Outliers": {"count": 2, "p50_us": _, "p90_us": _, "p99_us": _, "#,
+        r#""max_us": _}, "Pattern Outliers": {"count": 2, "p50_us": _, "p90_us": _, "#,
+        r#""p99_us": _, "max_us": _}, "Disguised Missing Value": {"count": 2, "p50_us": _, "#,
+        r#""p90_us": _, "p99_us": _, "max_us": _}, "Column Type": {"count": 2, "p50_us": _, "#,
+        r#""p90_us": _, "p99_us": _, "max_us": _}, "Numeric Outliers": {"count": 2, "#,
+        r#""p50_us": _, "p90_us": _, "p99_us": _, "max_us": _}, "#,
+        r#""Functional Dependency": {"count": 2, "p50_us": _, "p90_us": _, "p99_us": _, "#,
+        r#""max_us": _}, "Duplication": {"count": 2, "p50_us": _, "p90_us": _, "p99_us": _, "#,
+        r#""max_us": _}, "Column Uniqueness": {"count": 2, "p50_us": _, "p90_us": _, "#,
+        r#""p99_us": _, "max_us": _}, "llm_batch": {"count": 8, "p50_us": _, "p90_us": _, "#,
+        r#""p99_us": _, "max_us": _}}}}"#,
+    );
+
+    /// A clean, a job submit and poll, a datasets listing, a 404 and a
+    /// reviews listing. One detect thread keeps the dispatcher's batch
+    /// count independent of timing.
+    fn golden_traffic(state: &AppState) {
+        let body =
+            r#"{"csv": "id,lang\n1,eng\n2,eng\n3,eng\n4,English\n", "config": {"threads": 1}}"#;
+        assert_eq!(api::route(state, &post("/v1/clean", body)).status, 200);
+        assert_eq!(api::route(state, &post("/v1/jobs", body)).status, 202);
+        let id = run_one_job(state);
+        assert_eq!(api::route(state, &get(&format!("/v1/jobs/{id}"))).status, 200);
+        assert_eq!(api::route(state, &get("/v1/datasets")).status, 200);
+        assert_eq!(api::route(state, &get("/nope")).status, 404);
+        assert_eq!(api::route(state, &get("/v1/reviews")).status, 200);
+    }
+
+    /// Replaces every `…_us": <digits>` value with `_`.
+    fn mask_micros(body: &str) -> String {
+        let mut out = String::new();
+        let mut rest = body;
+        while let Some(at) = rest.find("_us\": ") {
+            let (head, tail) = rest.split_at(at + "_us\": ".len());
+            out.push_str(head);
+            out.push('_');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn metrics_body_matches_the_golden_capture() {
+        let state = test_state();
+        golden_traffic(&state);
+        let model = crate::http::json_escape(cocoon_llm::ChatModel::model_name(&state.llm));
+        let body = state.metrics_body().replace(&model, "\"<model>\"");
+        assert_eq!(mask_micros(&body), GOLDEN_METRICS);
     }
 
     #[test]

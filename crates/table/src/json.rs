@@ -11,7 +11,7 @@ use crate::table::Table;
 use crate::value::Value;
 
 /// Escapes a string as a JSON string literal (quotes included).
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

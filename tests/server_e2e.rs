@@ -5,7 +5,7 @@
 
 use cocoon_core::Cleaner;
 use cocoon_llm::{DispatcherConfig, Json, RateLimit, SimLlm};
-use cocoon_server::{Server, ServerConfig, ServerHandle};
+use cocoon_server::{Counter, Server, ServerConfig, ServerHandle};
 use cocoon_table::csv;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -482,9 +482,9 @@ fn stalled_client_costs_no_worker_and_overload_is_refused() {
                 std::thread::sleep(Duration::from_millis(2));
             }
         };
-        let requests_before = state.metrics.snapshot().requests_total;
+        let requests_before = state.metrics.get(Counter::Requests);
         spin_until("worker picks up the slow clean", &|| {
-            state.metrics.snapshot().requests_total > requests_before
+            state.metrics.get(Counter::Requests) > requests_before
         });
         let queued_csv = messy_csv().replace("7.5", "6.5");
         let queued = std::thread::spawn(move || {
@@ -784,7 +784,7 @@ fn large_response_completes_via_write_readiness() {
             .expect("send request");
         // Do not read yet: the server must hit WouldBlock mid-response.
         let deadline = Instant::now() + Duration::from_secs(120);
-        while state.metrics.snapshot().partial_writes == 0 {
+        while state.metrics.get(Counter::PartialWrites) == 0 {
             assert!(Instant::now() < deadline, "no partial write observed");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -797,7 +797,7 @@ fn large_response_completes_via_write_readiness() {
             Some(20_000),
             "the full body arrived intact"
         );
-        assert!(state.metrics.snapshot().partial_writes >= 1);
+        assert!(state.metrics.get(Counter::PartialWrites) >= 1);
     });
 }
 
@@ -917,11 +917,11 @@ fn ten_thousand_idle_connections_served_alongside_live_traffic() {
 
         // The server has registered (essentially) the whole herd.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while state.metrics.open_connections() < 10_000 {
+        while state.metrics.get(Counter::ConnectionsOpen) < 10_000 {
             assert!(
                 Instant::now() < deadline,
                 "only {} connections registered",
-                state.metrics.open_connections()
+                state.metrics.get(Counter::ConnectionsOpen)
             );
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -932,7 +932,7 @@ fn ten_thousand_idle_connections_served_alongside_live_traffic() {
             threads_after <= threads_before + 4,
             "connections must not cost threads: {threads_before} -> {threads_after}"
         );
-        assert!(state.metrics.snapshot().connections_peak >= 10_000);
+        assert!(state.metrics.get(Counter::ConnectionsPeak) >= 10_000);
 
         // One more live exchange with the herd fully parked.
         let (status, metrics) = get_json(addr, "/v1/metrics");
