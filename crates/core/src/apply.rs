@@ -1,8 +1,8 @@
 //! Shared machinery for compiling and applying column rewrites.
 
 use crate::error::Result;
-use cocoon_sql::{eval_column, execute, infer_expr_type, Expr, Projection, Select, Selection};
-use cocoon_table::{Column, Table, Value};
+use cocoon_sql::{execute, Expr, Projection, Select};
+use cocoon_table::{Table, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -32,27 +32,10 @@ pub fn column_rewrite_select(table: &Table, column: &str, expr: Expr) -> Select 
 }
 
 /// Executes a select against `table` and counts cell-level differences
-/// (only meaningful when the row count is unchanged).
-///
-/// Selects with the [`column_rewrite_select`] shape take a fast path:
-/// only the target column is evaluated and diffed, and every other column
-/// of the output shares the input's storage.
+/// (only meaningful when the row count is unchanged). Columns the select
+/// passes through are `Arc` clones of the input's (see
+/// [`cocoon_sql::execute`]), so the diff skips them without reading a cell.
 pub fn apply_and_count(select: &Select, table: &Table) -> Result<(Table, usize)> {
-    if let Some((index, expr)) = single_column_rewrite(select, table) {
-        let rewritten = if table.height() == 0 {
-            Column::default()
-        } else {
-            eval_column(expr, table, &Selection::All(table.height()))?
-        };
-        let before = table.column(index)?;
-        let changed =
-            before.values().iter().zip(rewritten.values()).filter(|(b, a)| b != a).count();
-        let mut output = table.clone();
-        output.replace_column(index, Arc::new(rewritten))?;
-        output.set_column_type(index, infer_expr_type(expr, table.schema()))?;
-        return Ok((output, changed));
-    }
-
     let output = execute(select, table)?;
     let mut changed = 0usize;
     if output.height() == table.height() && output.width() == table.width() {
@@ -69,36 +52,6 @@ pub fn apply_and_count(select: &Select, table: &Table) -> Result<(Table, usize)>
         changed = table.height().saturating_sub(output.height());
     }
     Ok((output, changed))
-}
-
-/// Recognises the [`column_rewrite_select`] shape: no filters, one
-/// projection per input column in schema order, all of them pass-through
-/// column references except exactly one expression aliased back to its
-/// field's name. Returns the target column index and expression.
-fn single_column_rewrite<'a>(select: &'a Select, table: &Table) -> Option<(usize, &'a Expr)> {
-    if select.distinct || select.where_clause.is_some() || select.qualify.is_some() {
-        return None;
-    }
-    let schema = table.schema();
-    if select.projections.len() != schema.len() {
-        return None;
-    }
-    let mut target: Option<(usize, &Expr)> = None;
-    for (i, projection) in select.projections.iter().enumerate() {
-        let Projection::Expr { expr, alias } = projection else { return None };
-        let field_name = schema.field(i).ok()?.name();
-        if let Expr::Column(name) = expr {
-            let out_name = alias.as_deref().unwrap_or(name);
-            if name == field_name && out_name == field_name {
-                continue; // pass-through
-            }
-        }
-        if alias.as_deref() != Some(field_name) || target.is_some() {
-            return None;
-        }
-        target = Some((i, expr));
-    }
-    target
 }
 
 /// Converts a textual cleaning mapping into `(Value, Value)` pairs; an
@@ -151,61 +104,47 @@ mod tests {
 
     #[test]
     fn rewrite_shares_untouched_columns() {
-        let t = table();
-        let map = Expr::value_map("lang", &[(Value::from("English"), Value::from("eng"))]);
-        let select = column_rewrite_select(&t, "lang", map);
-        let (out, _) = apply_and_count(&select, &t).unwrap();
-        // The id column must be the very same allocation, not a copy.
-        assert!(Arc::ptr_eq(t.shared_column(0).unwrap(), out.shared_column(0).unwrap()));
-        assert!(!Arc::ptr_eq(t.shared_column(1).unwrap(), out.shared_column(1).unwrap()));
+        // An FD-shaped rewrite: a CASE over two columns' values rewrites a
+        // third, so the output must share every other column's storage.
+        let rows: Vec<Vec<String>> = vec![
+            vec!["1".into(), "35000".into(), "birmingham".into(), "eng".into()],
+            vec!["2".into(), "35000".into(), "birminghxm".into(), "eng".into()],
+            vec!["3".into(), "35001".into(), "dothan".into(), "English".into()],
+        ];
+        let t = Table::from_text_rows(&["id", "zip", "city", "lang"], &rows).unwrap();
+        let arm = |zip: &str, old: &str, new: &str| {
+            let condition = Expr::and(
+                Expr::eq(Expr::col("zip"), Expr::lit(zip)),
+                Expr::eq(Expr::col("city"), Expr::lit(old)),
+            );
+            (condition, Expr::lit(new))
+        };
+        let case = Expr::Case {
+            operand: None,
+            arms: vec![arm("35000", "birminghxm", "birmingham"), arm("35001", "x", "y")],
+            otherwise: Some(Box::new(Expr::col("city"))),
+        };
+        let select = column_rewrite_select(&t, "city", case);
+        let (out, changed) = apply_and_count(&select, &t).unwrap();
+        assert_eq!(changed, 1);
+        assert_eq!(out.render_cell(1, 2).unwrap(), "birmingham");
+        for c in 0..t.width() {
+            let shared = Arc::ptr_eq(t.shared_column(c).unwrap(), out.shared_column(c).unwrap());
+            // Every untouched column is the very same allocation, not a copy.
+            assert_eq!(shared, c != 2, "column {c}");
+        }
     }
 
     #[test]
-    fn fast_path_matches_generic_executor() {
+    fn rewrite_matches_rowwise_oracle() {
         let t = table();
         let cast = Expr::try_cast(Expr::col("id"), cocoon_table::DataType::Int);
         let select = column_rewrite_select(&t, "id", cast);
-        assert!(single_column_rewrite(&select, &t).is_some());
-        let (fast, fast_changed) = apply_and_count(&select, &t).unwrap();
-        let generic = execute(&select, &t).unwrap();
-        assert_eq!(fast, generic);
-        assert_eq!(fast_changed, 2); // "1" → 1, "2" → 2
-                                     // Declared type follows the cast, as in the generic path.
-        assert_eq!(fast.schema().field(0).unwrap().data_type(), cocoon_table::DataType::Int);
-    }
-
-    #[test]
-    fn non_rewrite_shapes_skip_the_fast_path() {
-        let t = table();
-        // DISTINCT, WHERE, star and column-subset selects are not rewrites.
-        let mut distinct = Select::star("input");
-        distinct.distinct = true;
-        assert!(single_column_rewrite(&distinct, &t).is_none());
-        let mut filtered = column_rewrite_select(&t, "lang", Expr::lit("x"));
-        filtered.where_clause = Some(Expr::eq(Expr::col("id"), Expr::lit("1")));
-        assert!(single_column_rewrite(&filtered, &t).is_none());
-        let subset = Select {
-            distinct: false,
-            projections: vec![Projection::Expr { expr: Expr::col("id"), alias: None }],
-            from: "input".into(),
-            where_clause: None,
-            qualify: None,
-            comment: None,
-        };
-        assert!(single_column_rewrite(&subset, &t).is_none());
-        // Two rewritten columns: also generic.
-        let two = Select {
-            distinct: false,
-            projections: vec![
-                Projection::aliased(Expr::lit("x"), "id"),
-                Projection::aliased(Expr::lit("y"), "lang"),
-            ],
-            from: "input".into(),
-            where_clause: None,
-            qualify: None,
-            comment: None,
-        };
-        assert!(single_column_rewrite(&two, &t).is_none());
+        let (out, changed) = apply_and_count(&select, &t).unwrap();
+        assert_eq!(out, cocoon_sql::execute_rowwise(&select, &t).unwrap());
+        assert_eq!(changed, 2); // "1" → 1, "2" → 2
+                                // Declared type follows the cast.
+        assert_eq!(out.schema().field(0).unwrap().data_type(), cocoon_table::DataType::Int);
     }
 
     #[test]

@@ -24,15 +24,9 @@ struct Finding {
 /// Runs duplicate-row review over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
     let outcome = detect(&state.detect_ctx());
-    match outcome {
-        Outcome::Clean => {}
-        Outcome::Note(note) => state.note(note),
-        Outcome::Finding(finding) => {
-            if let Err(err) = decide(state, &finding) {
-                state.note(format!("duplication review degraded to statistical-only: {err}"));
-            }
-        }
-    }
+    state.decide_outcomes(vec![outcome], decide, |_, err| {
+        format!("duplication review degraded to statistical-only: {err}")
+    });
 }
 
 fn detect(ctx: &DetectCtx<'_>) -> Outcome<Finding> {
@@ -45,7 +39,7 @@ fn detect(ctx: &DetectCtx<'_>) -> Outcome<Finding> {
 }
 
 fn detect_inner(ctx: &DetectCtx<'_>) -> crate::error::Result<Outcome<Finding>> {
-    let profile = match ctx.profile {
+    let profile = match ctx.table_profile() {
         Some(entry) => entry.duplicates.clone(),
         None => duplicate_profile(ctx.table),
     };

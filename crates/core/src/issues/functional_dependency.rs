@@ -9,23 +9,26 @@
 //!
 //! Detect phase (concurrent, per candidate pair): violating groups on the
 //! stage-entry snapshot → semantic FD review. Decide phase (sequential):
-//! because FD repairs can interact (one repair may fix — or create —
-//! another candidate's violations), groups are taken from the snapshot only
-//! while no repair has been applied yet; after the first applied repair
-//! each remaining candidate recomputes its groups against the live table,
-//! exactly as the sequential pipeline always did.
+//! FD repairs can interact (one repair may fix — or create — another
+//! candidate's violations), so a candidate keeps its snapshot groups only
+//! while its lhs and rhs columns are unchanged since the snapshot;
+//! once an earlier repair rewrote either, it recomputes its groups against
+//! the live table.
 
-use crate::apply::apply_and_count;
+use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
-use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts};
+use crate::state::{unchanged, DetectCtx, Outcome, PipelineState};
+use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{fd_violating_groups, FdCandidate, FdScan};
-use cocoon_sql::{render_select, Expr, Projection, Select};
+use cocoon_sql::{render_select, Expr};
 use cocoon_table::{Table, Value};
 
-/// Rendered violating groups: `(lhs value, rhs census)` as prompt text.
-type GroupsText = Vec<(String, Vec<(String, usize)>)>;
+/// Violating groups: `(lhs value, rhs census)`, census by descending count.
+type Groups = Vec<(Value, Vec<(Value, usize)>)>;
+
+/// How many violating groups the semantic review prompt shows.
+const REVIEW_GROUPS: usize = 5;
 
 struct Finding {
     lhs: usize,
@@ -33,16 +36,14 @@ struct Finding {
     lhs_name: String,
     rhs_name: String,
     strength: f64,
-    /// Semantic review prefetched on the snapshot: `(meaningful, reasoning,
-    /// self-reported confidence)`. `None` when the snapshot had no violating
-    /// groups, so no review was spent; the decide phase asks lazily in the
-    /// rare case an earlier repair has since created violations.
-    verdict: Option<(bool, String, Option<f64>)>,
-    /// Violating-group count on the snapshot.
-    groups_len: usize,
-    /// Snapshot groups, fully rendered — only for meaningful verdicts (the
-    /// mapping step needs them); rejected candidates never pay the render.
-    groups: Option<GroupsText>,
+    /// Semantic review prefetched on the snapshot. `None` when the snapshot
+    /// had no violating groups, so no review was spent; the decide phase
+    /// asks in the rare case an earlier repair has since created some.
+    verdict: Option<FdVerdict>,
+    /// Violating groups on the stage-entry snapshot. A rejected verdict
+    /// keeps only the head its review saw: the decide phase needs no more
+    /// than to know there were some, and the full set can be large.
+    groups: Groups,
 }
 
 fn degraded(err: &crate::error::CoreError) -> String {
@@ -51,45 +52,42 @@ fn degraded(err: &crate::error::CoreError) -> String {
 
 /// Runs FD review and repair over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    // One scan encodes every column once; candidate scoring and each
-    // detection worker's group extraction all reuse it. Scoped so the
-    // borrow of `state.table` ends before the decide phase mutates it.
+    // The stage-entry snapshot shares the table's columns; the decide phase
+    // checks candidates' lhs and rhs against it for staleness.
+    let snapshot = state.table.clone();
     let outcomes = {
-        let scan = FdScan::new(&state.table);
-        // When the run's entry profile is still valid its candidates were
-        // scored under the same thresholds (`CleanerConfig::profile_options`
-        // maps them), on this exact table — reuse them instead of scoring
-        // every column pair again. The scan is still needed for group
-        // extraction either way.
-        let candidates = match state.detect_ctx().profile {
+        // One scan encodes every column once; candidate scoring and each
+        // detection worker's group extraction all reuse it.
+        let scan = FdScan::new(&snapshot);
+        // While the entry profile still describes the whole table its
+        // candidates were scored under the same thresholds
+        // (`CleanerConfig::profile_options` maps them) — reuse them instead
+        // of scoring every column pair again.
+        let candidates = match state.detect_ctx().table_profile() {
             Some(profile) => profile.fd_candidates.clone(),
             None => scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio),
         };
         state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
     };
-    // Becomes true once a repair lands; later candidates then recompute
-    // their groups against the mutated table.
-    let mut table_changed = false;
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Clean => {}
-            Outcome::Note(note) => state.note(note),
-            Outcome::Finding(finding) => match decide(state, &finding, table_changed) {
-                Ok(applied) => table_changed |= applied,
-                Err(err) => state.note(degraded(&err)),
-            },
-        }
-    }
+    state.decide_outcomes(
+        outcomes,
+        |state, finding| decide(state, &snapshot, finding),
+        |_, err| degraded(err),
+    );
 }
 
-fn groups_text_of(table: &Table, lhs: usize, rhs: usize) -> crate::error::Result<GroupsText> {
-    let lhs_col = table.column(lhs)?;
-    let rhs_col = table.column(rhs)?;
-    let groups = fd_violating_groups(lhs_col.values(), rhs_col.values());
-    Ok(groups
+/// Renders groups as prompt text.
+fn render(groups: &[(Value, Vec<(Value, usize)>)]) -> Vec<(String, Vec<(String, usize)>)> {
+    groups
         .iter()
         .map(|(l, census)| (l.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect()))
-        .collect())
+        .collect()
+}
+
+/// The semantic FD review prompt over (the head of) `groups`.
+fn review_prompt(lhs_name: &str, rhs_name: &str, strength: f64, groups: &Groups) -> String {
+    let head = render(&groups[..groups.len().min(REVIEW_GROUPS)]);
+    prompts::fd_review(lhs_name, rhs_name, strength, groups.len(), &head)
 }
 
 fn detect_candidate(
@@ -110,29 +108,18 @@ fn detect_inner(
 ) -> crate::error::Result<Outcome<Finding>> {
     let lhs_name = ctx.table.schema().field(candidate.lhs)?.name().to_string();
     let rhs_name = ctx.table.schema().field(candidate.rhs)?.name().to_string();
-    let groups = scan.violating_groups(candidate.lhs, candidate.rhs);
+    let mut groups = scan.violating_groups(candidate.lhs, candidate.rhs);
     // No violations on the snapshot: no review to spend. The finding still
     // reaches the decide phase, which re-checks against the live table.
-    let (verdict, rendered) = if groups.is_empty() {
-        (None, None)
+    let verdict = if groups.is_empty() {
+        None
     } else {
-        let render = |(l, census): &(Value, Vec<(Value, usize)>)| {
-            (l.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect::<Vec<_>>())
-        };
-        let head: GroupsText = groups.iter().take(5).map(render).collect();
-        let response = ctx.ask(prompts::fd_review(
-            &lhs_name,
-            &rhs_name,
-            candidate.strength,
-            groups.len(),
-            &head,
-        ))?;
-        let verdict = parse_fd_verdict(&response)?;
-        // The mapping step consumes the full rendered groups; only
-        // meaningful verdicts get there, so only they pay the render.
-        let rendered = verdict.meaningful.then(|| groups.iter().map(render).collect());
-        (Some((verdict.meaningful, verdict.reasoning, verdict.confidence)), rendered)
+        let prompt = review_prompt(&lhs_name, &rhs_name, candidate.strength, &groups);
+        Some(parse_fd_verdict(&ctx.ask(prompt)?)?)
     };
+    if verdict.as_ref().is_some_and(|verdict| !verdict.meaningful) {
+        groups.truncate(REVIEW_GROUPS);
+    }
     Ok(Outcome::Finding(Finding {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
@@ -140,68 +127,48 @@ fn detect_inner(
         rhs_name,
         strength: candidate.strength,
         verdict,
-        groups_len: groups.len(),
-        groups: rendered,
+        groups,
     }))
 }
 
-/// Reviews and (when approved) repairs one candidate. Returns whether a
-/// repair was applied to the table.
+/// Reviews and (when approved) repairs one candidate.
 fn decide(
     state: &mut PipelineState<'_>,
+    snapshot: &Table,
     finding: &Finding,
-    table_changed: bool,
-) -> crate::error::Result<bool> {
+) -> crate::error::Result<()> {
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
-    // Snapshot groups stay valid until the first applied repair; after one,
-    // recompute against the live table.
-    let (groups_text, groups_len, meaningful, reasoning, review_confidence) = if table_changed {
-        let groups_text = groups_text_of(&state.table, finding.lhs, finding.rhs)?;
-        if groups_text.is_empty() {
-            return Ok(false);
-        }
-        let (meaningful, reasoning, review_confidence) = match &finding.verdict {
-            Some((meaningful, reasoning, confidence)) => {
-                (*meaningful, reasoning.clone(), *confidence)
-            }
-            None => {
-                // An earlier repair created violations the snapshot didn't
-                // have; ask for the semantic review now, on live groups.
-                let response = state.ask(prompts::fd_review(
-                    lhs_name,
-                    rhs_name,
-                    finding.strength,
-                    groups_text.len(),
-                    &groups_text[..groups_text.len().min(5)],
-                ))?;
-                let verdict = parse_fd_verdict(&response)?;
-                (verdict.meaningful, verdict.reasoning, verdict.confidence)
-            }
-        };
-        let groups_len = groups_text.len();
-        (groups_text, groups_len, meaningful, reasoning, review_confidence)
+    // The snapshot's groups serve while lhs and rhs are unchanged; once an
+    // earlier repair rewrote either, they are recomputed on the live table.
+    let live: Groups;
+    let groups = if unchanged(snapshot, &state.table, [finding.lhs, finding.rhs]) {
+        &finding.groups
     } else {
-        if finding.groups_len == 0 {
-            return Ok(false);
-        }
-        let (meaningful, reasoning, review_confidence) =
-            finding.verdict.clone().expect("non-empty snapshot groups were reviewed");
-        // Rejected candidates never need the full render.
-        let groups_text = if meaningful {
-            finding.groups.clone().expect("meaningful finding carries rendered groups")
-        } else {
-            GroupsText::new()
-        };
-        (groups_text, finding.groups_len, meaningful, reasoning, review_confidence)
+        let column = |i| state.table.column(i).map(|c| c.values());
+        live = fd_violating_groups(column(finding.lhs)?, column(finding.rhs)?);
+        &live
     };
-    let evidence =
-        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_len);
+    if groups.is_empty() {
+        return Ok(());
+    }
+    let verdict = match &finding.verdict {
+        Some(verdict) => verdict.clone(),
+        // An earlier repair created violations the snapshot didn't have;
+        // ask for the semantic review now, on live groups.
+        None => {
+            let prompt = review_prompt(lhs_name, rhs_name, finding.strength, groups);
+            parse_fd_verdict(&state.ask(prompt)?)?
+        }
+    };
+    let FdVerdict { meaningful, reasoning, confidence: review_confidence } = verdict;
     if !meaningful {
         state.note(format!(
             "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
         ));
-        return Ok(false);
+        return Ok(());
     }
+    let evidence =
+        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups.len());
     let detection = DetectionReview {
         issue: IssueKind::FunctionalDependency,
         column: Some(rhs_name),
@@ -210,14 +177,15 @@ fn decide(
     };
     if state.hook.review_detection(&detection) == Decision::Reject {
         state.note(format!("FD {lhs_name} → {rhs_name} rejected by reviewer"));
-        return Ok(false);
+        return Ok(());
     }
 
     // Semantic cleaning: the LLM provides the correct mapping per group.
+    let groups_text = render(groups);
     let response = state.ask(prompts::fd_mapping(lhs_name, rhs_name, &groups_text))?;
     let map = parse_cleaning_map(&response)?;
     if map.mapping.is_empty() {
-        return Ok(false);
+        return Ok(());
     }
 
     // Compile group-scoped CASE arms: a pair (old → new) applies only inside
@@ -250,30 +218,10 @@ fn decide(
         }
     }
     if arms.is_empty() {
-        return Ok(false);
+        return Ok(());
     }
     let expr = Expr::Case { operand: None, arms, otherwise: Some(Box::new(Expr::col(rhs_name))) };
-    let projections = state
-        .table
-        .schema()
-        .fields()
-        .iter()
-        .map(|field| {
-            if field.name() == rhs_name {
-                Projection::aliased(expr.clone(), field.name())
-            } else {
-                Projection::Expr { expr: Expr::col(field.name()), alias: None }
-            }
-        })
-        .collect();
-    let select = Select {
-        distinct: false,
-        projections,
-        from: "input".into(),
-        where_clause: None,
-        qualify: None,
-        comment: None,
-    };
+    let select = column_rewrite_select(&state.table, rhs_name, expr);
     let preview = render_select(&select);
     let review = CleaningReview {
         issue: IssueKind::FunctionalDependency,
@@ -284,17 +232,17 @@ fn decide(
     };
     if state.hook.review_cleaning(&review) == Decision::Reject {
         state.note(format!("FD repair {lhs_name} → {rhs_name} rejected by reviewer"));
-        return Ok(false);
+        return Ok(());
     }
     let (table, changed) = apply_and_count(&select, &state.table)?;
     if changed == 0 {
-        return Ok(false);
+        return Ok(());
     }
     let confidence = match (review_confidence, map.confidence) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
-    let applied = state.commit_op(
+    state.commit_op(
         table,
         CleaningOp {
             issue: IssueKind::FunctionalDependency,
@@ -306,7 +254,7 @@ fn decide(
             confidence: Confidence::self_reported(confidence),
         },
     );
-    Ok(applied)
+    Ok(())
 }
 
 #[cfg(test)]

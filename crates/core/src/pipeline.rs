@@ -16,7 +16,7 @@
 //! out the precondition). See [`crate::state`] for the detect/decide model
 //! and [`CleanerConfig::threads`] / `COCOON_THREADS` for the worker policy.
 
-use crate::config::CleanerConfig;
+use crate::config::{CleanerConfig, IssueToggles};
 use crate::decision::{AutoApprove, DecisionHook};
 use crate::error::Result;
 use crate::issues;
@@ -38,6 +38,27 @@ pub const STAGE_ORDER: [IssueKind; 8] = [
     IssueKind::Duplication,
     IssueKind::Uniqueness,
 ];
+
+/// One pipeline stage: detects on, and rewrites, the state's table.
+type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
+
+/// Every stage in [`STAGE_ORDER`], each with whether `toggles` enables it.
+fn stages(toggles: &IssueToggles) -> [(bool, IssueKind, StageFn); 8] {
+    [
+        (toggles.string_outliers, IssueKind::StringOutliers, issues::string_outlier::run),
+        (toggles.pattern_outliers, IssueKind::PatternOutliers, issues::pattern_outlier::run),
+        (toggles.disguised_missing, IssueKind::DisguisedMissing, issues::dmv::run),
+        (toggles.column_type, IssueKind::ColumnType, issues::column_type::run),
+        (toggles.numeric_outliers, IssueKind::NumericOutliers, issues::numeric_outlier::run),
+        (
+            toggles.functional_dependencies,
+            IssueKind::FunctionalDependency,
+            issues::functional_dependency::run,
+        ),
+        (toggles.duplication, IssueKind::Duplication, issues::duplication::run),
+        (toggles.uniqueness, IssueKind::Uniqueness, issues::uniqueness::run),
+    ]
+}
 
 /// The result of cleaning one table.
 #[derive(Debug, Clone)]
@@ -183,29 +204,15 @@ impl<M: ChatModel> Cleaner<M> {
         progress: Option<&RunProgress>,
         seed: Option<TableProfile>,
     ) -> Result<CleaningRun> {
-        type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
         let toggles = &self.config.issues;
-        let stages: [(bool, IssueKind, StageFn); 8] = [
-            (toggles.string_outliers, IssueKind::StringOutliers, issues::string_outlier::run),
-            (toggles.pattern_outliers, IssueKind::PatternOutliers, issues::pattern_outlier::run),
-            (toggles.disguised_missing, IssueKind::DisguisedMissing, issues::dmv::run),
-            (toggles.column_type, IssueKind::ColumnType, issues::column_type::run),
-            (toggles.numeric_outliers, IssueKind::NumericOutliers, issues::numeric_outlier::run),
-            (
-                toggles.functional_dependencies,
-                IssueKind::FunctionalDependency,
-                issues::functional_dependency::run,
-            ),
-            (toggles.duplication, IssueKind::Duplication, issues::duplication::run),
-            (toggles.uniqueness, IssueKind::Uniqueness, issues::uniqueness::run),
-        ];
+        let stages = stages(toggles);
         let mut state = PipelineState::new(table.clone(), &self.llm, &self.config, hook);
         state.progress = progress;
         // Profile the entry table once, chunk-parallel on the stage pool;
         // stages that need these statistics serve them from the profile
-        // instead of re-deriving them, until the first applied op
-        // invalidates the snapshot. Skipped when no enabled stage consumes
-        // profiles (cheap ablation runs stay cheap).
+        // instead of re-deriving them, for as long as the columns they
+        // describe stay unchanged (`state::unchanged`). Skipped when no
+        // enabled stage consumes profiles (cheap ablation runs stay cheap).
         let wants_profile = toggles.pattern_outliers
             || toggles.column_type
             || toggles.numeric_outliers
@@ -214,7 +221,7 @@ impl<M: ChatModel> Cleaner<M> {
             || toggles.uniqueness;
         if wants_profile {
             let options = self.config.profile_options();
-            state.entry_profile = Some(match seed {
+            let profile = match seed {
                 Some(profile) if profile.matches(&state.table, &options) => profile,
                 seed => {
                     if seed.is_some() {
@@ -229,7 +236,8 @@ impl<M: ChatModel> Cleaner<M> {
                         DEFAULT_PROFILE_CHUNK_ROWS,
                     )
                 }
-            });
+            };
+            state.entry_profile = Some((state.table.clone(), profile));
         }
         if let Some(p) = progress {
             p.begin(stages.iter().filter(|(enabled, _, _)| *enabled).count());
@@ -489,5 +497,92 @@ mod tests {
     fn invalid_config_rejected() {
         let config = CleanerConfig { fd_min_strength: 7.0, ..CleanerConfig::default() };
         assert!(Cleaner::with_config(SimLlm::new(), config).is_err());
+    }
+}
+
+/// The staleness rule's differential: serving statistics from the entry
+/// profile while their columns are unchanged must be invisible in the
+/// output. Each case cleans the same table twice, through
+/// [`Cleaner::clean_with_hook`] and through a [`PipelineState`] that never
+/// receives an entry profile, so every stage recomputes what it needs.
+#[cfg(test)]
+mod entry_profile_differential {
+    use super::*;
+    use cocoon_llm::SimLlm;
+    use cocoon_table::csv;
+    use proptest::prelude::*;
+
+    fn assert_profile_invisible(table: &Table, config: CleanerConfig) {
+        let llm = SimLlm::new();
+        let mut hook = AutoApprove;
+        let cleaner = Cleaner::with_config(SimLlm::new(), config.clone()).unwrap();
+        let profiled = cleaner.clean_with_hook(table, &mut hook).unwrap();
+        let mut state = PipelineState::new(table.clone(), &llm, &config, &mut hook);
+        for (enabled, _, run) in stages(&config.issues) {
+            if enabled {
+                run(&mut state);
+            }
+        }
+        assert_eq!(profiled.table, state.table);
+        assert_eq!(profiled.ops, state.ops);
+        assert_eq!(profiled.pending, state.pending);
+        assert_eq!(profiled.notes, state.notes);
+        let unprofiled = CleaningRun {
+            table: state.table,
+            ops: state.ops,
+            pending: state.pending,
+            notes: state.notes,
+        };
+        assert_eq!(profiled.sql_script(), unprofiled.sql_script());
+    }
+
+    #[test]
+    fn catalog_datasets() {
+        for dataset in cocoon_datasets::catalog::all() {
+            assert_profile_invisible(&dataset.dirty, CleanerConfig::default());
+        }
+    }
+
+    /// A generated messy table, as in the workspace's thread-count
+    /// differential: a unique id column, a skewed text column with optional
+    /// typo variants and a disguised-missing token, and a numeric column
+    /// with an optional outlier.
+    fn messy_table() -> impl Strategy<Value = Table> {
+        let dominant = "[a-d]{3}";
+        (dominant, 14usize..24, 0usize..3, prop_oneof![Just(""), Just("N/A"), Just("unknown")])
+            .prop_map(|(word, rows, typos, dmv)| {
+                let mut text = String::from("record_id,token,rating\n");
+                for i in 0..rows {
+                    text.push_str(&format!("r{i},{word},7.5\n"));
+                }
+                for i in 0..typos {
+                    let first = word.chars().next().unwrap();
+                    text.push_str(&format!("t{i},{first}{word},8.0\n"));
+                }
+                if !dmv.is_empty() {
+                    text.push_str(&format!("d0,{dmv},99.0\n"));
+                }
+                csv::read_str(&text).expect("generated csv parses")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// At one and at several threads, with and without withheld
+        /// repairs (threshold 0.9 sends low-confidence ones to `pending`).
+        #[test]
+        fn random_messy_tables(
+            table in messy_table(),
+            threads in prop_oneof![Just(1usize), Just(4usize)],
+            threshold in prop_oneof![Just(0.0f64), Just(0.9f64)],
+        ) {
+            let config = CleanerConfig {
+                threads: Some(threads),
+                confidence_threshold: threshold,
+                ..CleanerConfig::default()
+            };
+            assert_profile_invisible(&table, config);
+        }
     }
 }

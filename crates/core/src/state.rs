@@ -26,6 +26,7 @@ use cocoon_llm::{prompts, ChatModel, ChatRequest};
 use cocoon_profile::{ColumnProfile, TableProfile};
 use cocoon_sql::render_select;
 use cocoon_table::Table;
+use std::sync::Arc;
 use threadpool::ThreadPool;
 
 /// Read-only view for concurrent detection: the stage-entry table, the
@@ -38,11 +39,8 @@ pub struct DetectCtx<'a> {
     pub llm: &'a dyn ChatModel,
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
-    /// The run's entry profile, served only while the table still *is* the
-    /// profiled entry table (no op applied yet). Stages prefer these
-    /// prebuilt statistics over reprofiling their columns; once an op
-    /// mutates the table this is `None` and stages recompute as before.
-    pub profile: Option<&'a TableProfile>,
+    /// The table the run's entry profile was computed on, and the profile.
+    entry_profile: Option<&'a (Table, TableProfile)>,
 }
 
 impl DetectCtx<'_> {
@@ -86,12 +84,42 @@ impl DetectCtx<'_> {
         out
     }
 
-    /// The entry profile's statistics for one column, when still valid
-    /// (see [`DetectCtx::profile`]). Columns are in schema order, so the
-    /// index is the table's column index.
+    /// The entry profile's statistics for one column, while that column is
+    /// unchanged since the run began; `None` means recompute. Columns are
+    /// in schema order, so the index is the table's column index.
     pub fn column_profile(&self, index: usize) -> Option<&ColumnProfile> {
-        self.profile.and_then(|profile| profile.columns.get(index))
+        let (profiled, profile) = self.entry_profile?;
+        unchanged(profiled, self.table, [index]).then(|| profile.columns.get(index)).flatten()
     }
+
+    /// The whole entry profile, for table-wide facts (duplicate census, FD
+    /// candidates), while *every* column is unchanged since the run began;
+    /// `None` means recompute.
+    pub fn table_profile(&self) -> Option<&TableProfile> {
+        let (profiled, profile) = self.entry_profile?;
+        let width = profiled.width().max(self.table.width());
+        unchanged(profiled, self.table, 0..width).then_some(profile)
+    }
+}
+
+/// The one staleness rule for derived statistics: a fact computed from
+/// `basis` still describes `live` while each of `columns` is the same
+/// shared column ([`Arc::ptr_eq`]) under the same field in both tables
+/// (an index missing from either counts as changed). Sound because `basis`
+/// holds its own handle on each column, so any write to `live` (in place
+/// through [`Arc::make_mut`], or by swapping in a new column) gives the
+/// column a new identity.
+pub(crate) fn unchanged(
+    basis: &Table,
+    live: &Table,
+    columns: impl IntoIterator<Item = usize>,
+) -> bool {
+    columns.into_iter().all(|i| match (basis.shared_column(i), live.shared_column(i)) {
+        (Ok(then), Ok(now)) => {
+            Arc::ptr_eq(then, now) && basis.schema().field(i).ok() == live.schema().field(i).ok()
+        }
+        _ => false,
+    })
 }
 
 /// What one read-only detection unit concluded, queued for the decide phase.
@@ -117,10 +145,10 @@ pub struct PipelineState<'a> {
     pub hook: &'a mut dyn DecisionHook,
     /// Worker policy for the per-stage detection fan-out.
     pub pool: ThreadPool,
-    /// Statistical profile of the table as the run began — computed
+    /// The table as the run began and its statistical profile — computed
     /// chunk-parallel up front (or handed in by a streaming ingester) and
-    /// served to detection workers until the first op invalidates it.
-    pub entry_profile: Option<TableProfile>,
+    /// served to detection workers under the [`unchanged`] rule.
+    pub(crate) entry_profile: Option<(Table, TableProfile)>,
     /// Applied operations, in order.
     pub ops: Vec<CleaningOp>,
     /// Repairs whose confidence fell below
@@ -164,10 +192,8 @@ impl<'a> PipelineState<'a> {
     /// table: stages construct it once, before their decide phase mutates
     /// anything, so every detection unit of a stage sees the same snapshot.
     pub fn detect_ctx(&self) -> DetectCtx<'_> {
-        // The entry profile describes the table as the run began; serve it
-        // only while no applied op can have mutated the table.
-        let profile = if self.ops.is_empty() { self.entry_profile.as_ref() } else { None };
-        DetectCtx { table: &self.table, llm: self.llm, config: self.config, profile }
+        let entry_profile = self.entry_profile.as_ref();
+        DetectCtx { table: &self.table, llm: self.llm, config: self.config, entry_profile }
     }
 
     /// Fans `detect` out over `items` on the stage pool and returns the
@@ -199,11 +225,10 @@ impl<'a> PipelineState<'a> {
         self.detect_map((0..self.table.width()).collect(), detect)
     }
 
-    /// The decide phase shared by the per-column stages: outcomes are
-    /// consumed in detection order, notes pass straight through, findings
-    /// go to `decide`, and a decide-phase error degrades the finding to
-    /// the stage's note via `degraded_note`. (FD and duplication keep
-    /// bespoke loops — cross-finding state and single-unit detection.)
+    /// The decide phase every stage shares: outcomes are consumed in
+    /// detection order, notes pass straight through, findings go to
+    /// `decide`, and a decide-phase error degrades the finding to the
+    /// stage's note via `degraded_note`.
     pub(crate) fn decide_outcomes<F>(
         &mut self,
         outcomes: Vec<Outcome<F>>,
@@ -249,8 +274,7 @@ impl<'a> PipelineState<'a> {
     /// repairs below are withheld into [`pending`](PipelineState::pending)
     /// with a note, leaving the table untouched.
     ///
-    /// Returns whether the repair applied (`false` means withheld) — FD
-    /// iteration uses this to know the table is unchanged.
+    /// Returns whether the repair applied (`false` means withheld).
     ///
     /// Runs in the sequential decide phase, so sampling and re-asks are
     /// identical at any thread count.
@@ -381,28 +405,70 @@ mod tests {
     }
 
     #[test]
-    fn entry_profile_served_only_until_first_op() {
+    fn entry_profile_served_while_its_columns_are_unchanged() {
+        use crate::apply::{apply_and_count, column_rewrite_select};
+        use crate::ops::{CleaningOp, Confidence, IssueKind};
+        use cocoon_sql::{Expr, Select};
+        use cocoon_table::Value;
+        // An op outside the agreement sample, so its self-report alone
+        // decides whether it applies.
+        let op = |select: Select, self_report: f64| {
+            (0..)
+                .map(|i| CleaningOp {
+                    issue: IssueKind::StringOutliers,
+                    column: Some("lang".into()),
+                    statistical_evidence: format!("evidence {i}"),
+                    llm_reasoning: String::new(),
+                    sql: select.clone(),
+                    cells_changed: 1,
+                    confidence: Confidence { self_report, agreement: None },
+                })
+                .find(|op| !super::sampled_for_verification(op))
+                .unwrap()
+        };
+        let served = |state: &PipelineState<'_>| {
+            let ctx = state.detect_ctx();
+            let columns = [0, 1, 9].map(|i| ctx.column_profile(i).is_some());
+            (columns, ctx.table_profile().is_some())
+        };
         let llm = SimLlm::new();
-        let config = CleanerConfig::default();
+        let config = CleanerConfig { confidence_threshold: 0.5, ..CleanerConfig::default() };
         let mut hook = AutoApprove;
-        let mut state = PipelineState::new(table(), &llm, &config, &mut hook);
-        assert!(state.detect_ctx().profile.is_none());
-        state.entry_profile =
-            Some(cocoon_profile::profile_table(&state.table, &config.profile_options()));
-        assert!(state.detect_ctx().profile.is_some());
-        assert!(state.detect_ctx().column_profile(0).is_some());
-        assert!(state.detect_ctx().column_profile(9).is_none());
-        // Any applied op invalidates the entry snapshot.
-        state.ops.push(crate::ops::CleaningOp {
-            issue: crate::ops::IssueKind::Duplication,
-            column: None,
-            statistical_evidence: String::new(),
-            llm_reasoning: String::new(),
-            sql: cocoon_sql::Select::star("input"),
-            cells_changed: 0,
-            confidence: crate::ops::Confidence::default(),
-        });
-        assert!(state.detect_ctx().profile.is_none());
+        let rows: Vec<Vec<String>> = vec![
+            vec!["1".into(), "a".into()],
+            vec!["2".into(), "a".into()],
+            vec!["3".into(), "b".into()],
+        ];
+        let mut state = PipelineState::new(
+            Table::from_text_rows(&["id", "lang"], &rows).unwrap(),
+            &llm,
+            &config,
+            &mut hook,
+        );
+        assert_eq!(served(&state), ([false; 3], false));
+        let profile = cocoon_profile::profile_table(&state.table, &config.profile_options());
+        state.entry_profile = Some((state.table.clone(), profile));
+        assert_eq!(served(&state), ([true, true, false], true));
+
+        let rewrite = column_rewrite_select(
+            &state.table,
+            "lang",
+            Expr::value_map("lang", &[(Value::from("b"), Value::from("a"))]),
+        );
+        let (rewritten, _) = apply_and_count(&rewrite, &state.table).unwrap();
+        // A withheld op leaves the table, and so every fact, as it was.
+        assert!(!state.commit_op(rewritten.clone(), op(rewrite.clone(), 0.1)));
+        assert_eq!(served(&state), ([true, true, false], true));
+        // An op rewriting column 1 keeps column 0's profile, but neither
+        // column 1's nor the table-wide facts.
+        assert!(state.commit_op(rewritten, op(rewrite, 1.0)));
+        assert_eq!(served(&state), ([true, false, false], false));
+        // Dropping a row rewrites every column: nothing is served.
+        let mut filter = Select::star("input");
+        filter.where_clause = Some(Expr::eq(Expr::col("id"), Expr::lit("1")));
+        let (filtered, _) = apply_and_count(&filter, &state.table).unwrap();
+        assert!(state.commit_op(filtered, op(filter, 1.0)));
+        assert_eq!(served(&state), ([false; 3], false));
     }
 
     #[test]

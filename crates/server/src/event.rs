@@ -553,15 +553,22 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
     loop {
         match &mut conn.phase {
             Phase::ReadingHead => {
-                // First readiness for a new request: open its trace, with
-                // the span origin at this moment (the first bytes are on
-                // the socket but nothing has been parsed yet).
-                if conn.trace.is_none() {
-                    let now = Instant::now();
-                    conn.trace = Some(Arc::new(ctx.state.obs.begin_request(now)));
-                    conn.seg_start = now;
+                let attempt = Instant::now();
+                let head = conn.reader.next_head();
+                // A new request's trace opens once its first bytes are in
+                // hand, with the span origin at the read that found them.
+                // Until then the connection is idle: on keep-alive, the gap
+                // after the previous response is no request's latency.
+                let idle = match &head {
+                    Err(HttpError::Closed) => true,
+                    Err(e) => is_would_block(e) && !conn.reader.has_buffered(),
+                    Ok(_) => false,
+                };
+                if conn.trace.is_none() && !idle {
+                    conn.trace = Some(Arc::new(ctx.state.obs.begin_request(attempt)));
+                    conn.seg_start = attempt;
                 }
-                match conn.reader.next_head() {
+                match head {
                     Ok(head) => {
                         conn.last_activity = Instant::now();
                         if let Some(trace) = &conn.trace {

@@ -368,6 +368,12 @@ impl<R: Read> RequestReader<R> {
         }
     }
 
+    /// Whether bytes of a not-yet-parsed request are buffered (a partial
+    /// head, or pipelined leftovers of the previous exchange).
+    pub fn has_buffered(&self) -> bool {
+        !self.buffer.is_empty()
+    }
+
     /// The byte source the reader pulls from. The event loop uses this to
     /// write responses back down the same socket the reader parses, and to
     /// reach socket-level controls (`set_nonblocking`, `as_raw_fd`).

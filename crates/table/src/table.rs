@@ -132,22 +132,6 @@ impl Table {
         self.column_mut(idx)
     }
 
-    /// Replaces one column wholesale (the single-column-rewrite fast path);
-    /// all other columns keep their shared storage.
-    pub fn replace_column(&mut self, index: usize, column: Arc<Column>) -> Result<()> {
-        if index >= self.columns.len() {
-            return Err(TableError::ColumnIndexOutOfBounds { index, width: self.columns.len() });
-        }
-        if column.len() != self.height() {
-            return Err(TableError::LengthMismatch {
-                expected: self.height(),
-                actual: column.len(),
-            });
-        }
-        self.columns[index] = column;
-        Ok(())
-    }
-
     /// Reads one cell.
     pub fn cell(&self, row: usize, col: usize) -> Result<&Value> {
         self.column(col)?.get(row)
@@ -431,16 +415,5 @@ mod tests {
         assert_eq!(copy.cell(0, 1).unwrap(), &Value::Text("z".into()));
         // Pass-through column still shared.
         assert!(Arc::ptr_eq(table.shared_column(0).unwrap(), copy.shared_column(0).unwrap()));
-    }
-
-    #[test]
-    fn replace_column_checks_length() {
-        let mut table = t(&[["1", "x"], ["2", "y"]]);
-        let short = Arc::new(Column::from_strings(["only"]));
-        assert!(table.replace_column(1, short).is_err());
-        let ok = Arc::new(Column::from_strings(["p", "q"]));
-        table.replace_column(1, ok.clone()).unwrap();
-        assert!(Arc::ptr_eq(table.shared_column(1).unwrap(), &ok));
-        assert!(table.replace_column(9, Arc::new(Column::default())).is_err());
     }
 }

@@ -1204,6 +1204,57 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     });
 }
 
+#[test]
+fn keep_alive_idle_gap_is_not_billed_to_the_next_request() {
+    // Server-side latency runs from a request's first byte to its
+    // response's last: the idle gap between two requests on one keep-alive
+    // connection belongs to neither.
+    const GAP: Duration = Duration::from_millis(300);
+    with_server(test_config(), |handle| {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        let request = b"GET /v1/datasets HTTP/1.1\r\nHost: cocoon\r\n\r\n";
+        stream.write_all(request).expect("first request");
+        assert_eq!(read_framed_response(&mut stream).0, 200);
+        std::thread::sleep(GAP);
+        stream.write_all(request).expect("second request");
+        assert_eq!(read_framed_response(&mut stream).0, 200);
+
+        // Traces seal just after the last byte goes out; wait for both.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let durations = loop {
+            let durations: Vec<u64> = handle
+                .state()
+                .obs
+                .recent_traces()
+                .iter()
+                .filter(|t| t.route == "/v1/datasets")
+                .map(|t| t.total_ns)
+                .collect();
+            if durations.len() == 2 || Instant::now() > deadline {
+                break durations;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(durations.len(), 2, "both requests traced");
+        assert!(
+            durations[1] < GAP.as_nanos() as u64,
+            "second request recorded {} ms, the idle gap was {} ms",
+            durations[1] / 1_000_000,
+            GAP.as_millis(),
+        );
+        // The endpoint histogram holds the same durations.
+        let (_, metrics) = get_json(handle.addr(), "/v1/metrics");
+        let datasets = metrics
+            .get("latency")
+            .and_then(|l| l.get("endpoints"))
+            .and_then(|e| e.get("/v1/datasets"))
+            .expect("datasets latency");
+        assert_eq!(datasets.get("count").and_then(Json::as_f64), Some(2.0));
+        let max_us = datasets.get("max_us").and_then(Json::as_f64).expect("max_us");
+        assert!(max_us < GAP.as_micros() as f64, "histogram max {max_us} us");
+    });
+}
+
 /// The review fixture: one high-confidence typo ("cofffee") and one
 /// low-confidence misplaced concept ("Hindi" in a country column), so a
 /// 0.9 threshold auto-applies the first and withholds exactly the second.
