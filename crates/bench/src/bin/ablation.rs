@@ -10,7 +10,7 @@
 //! cargo run --release -p cocoon-bench --bin ablation
 //! ```
 
-use cocoon_core::{Cleaner, CleanerConfig, IssueToggles};
+use cocoon_core::{Cleaner, CleanerConfig, IssueKind};
 use cocoon_eval::{evaluate, Equivalence, Prf};
 use cocoon_llm::{SimLlm, Transcript};
 
@@ -50,17 +50,20 @@ fn main() {
 
     println!("\n== Ablation 3: per-issue contribution (Hospital)");
     for issue in [
-        "string_outliers",
-        "pattern_outliers",
-        "disguised_missing",
-        "column_type",
-        "numeric_outliers",
-        "functional_dependencies",
+        IssueKind::StringOutliers,
+        IssueKind::PatternOutliers,
+        IssueKind::DisguisedMissing,
+        IssueKind::ColumnType,
+        IssueKind::NumericOutliers,
+        IssueKind::FunctionalDependency,
     ] {
         let (prf, _) = score(CleanerConfig::only_issue(issue), &hospital);
         println!(
-            "  only {issue:<24}  P {:.2}  R {:.2}  F {:.2}",
-            prf.precision, prf.recall, prf.f1
+            "  only {:<24}  P {:.2}  R {:.2}  F {:.2}",
+            issue.key(),
+            prf.precision,
+            prf.recall,
+            prf.f1
         );
     }
     let (full, _) = score(CleanerConfig::default(), &hospital);
@@ -73,10 +76,8 @@ fn main() {
     println!("  The paper argues typos must be fixed before patterns, patterns before");
     println!("  casts, casts before numeric review. Running ONLY the later stages");
     println!("  (no string-outlier pass first) shows the dependency:");
-    let no_strings = CleanerConfig {
-        issues: IssueToggles { string_outliers: false, ..IssueToggles::default() },
-        ..CleanerConfig::default()
-    };
+    let mut no_strings = CleanerConfig::default();
+    no_strings.issues.set(IssueKind::StringOutliers, false);
     let (prf, _) = score(no_strings, &hospital);
     println!(
         "  without string outliers first  P {:.2}  R {:.2}  F {:.2}",

@@ -54,6 +54,18 @@ pub fn apply_and_count(select: &Select, table: &Table) -> Result<(Table, usize)>
     Ok((output, changed))
 }
 
+/// The value-map repair of `column` (`CASE column WHEN old THEN new …`, an
+/// empty new value meaning NULL), with the pairs it applies: the compile
+/// step the string-outlier and DMV cleaning reviews share.
+pub(crate) fn value_map_rewrite(
+    table: &Table,
+    column: &str,
+    mapping: &[(String, String)],
+) -> (Select, Vec<(String, String)>) {
+    let expr = Expr::value_map(column, &mapping_to_values(mapping));
+    (column_rewrite_select(table, column, expr), mapping.to_vec())
+}
+
 /// Converts a textual cleaning mapping into `(Value, Value)` pairs; an
 /// empty new value means NULL (the Figure 3 convention for "meaningless").
 pub fn mapping_to_values(mapping: &[(String, String)]) -> Vec<(Value, Value)> {

@@ -2,43 +2,42 @@
 //! service accepts (`CleanerConfig::from_json` / `to_json`).
 
 use crate::error::{CoreError, Result};
+use crate::ops::IssueKind;
+use crate::pipeline::STAGE_ORDER;
 use cocoon_llm::Json;
 use cocoon_profile::ProfileOptions;
 
-/// Which issue types (§2.1.1–2.1.8) the pipeline runs. All on by default;
-/// the ablation benches toggle these.
+/// Which issue types (§2.1.1–2.1.8) the pipeline runs, keyed by
+/// [`IssueKind`]. All on by default; the ablation benches toggle these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IssueToggles {
-    /// §2.1.1 — rare string values that are typos of frequent ones.
-    pub string_outliers: bool,
-    /// §2.1.2 — values breaking the column's dominant character pattern.
-    pub pattern_outliers: bool,
-    /// §2.1.3 — sentinel strings standing in for NULL ("N/A", "-").
-    pub disguised_missing: bool,
-    /// §2.1.4 — text columns that should be typed (int, date, …).
-    pub column_type: bool,
-    /// §2.1.5 — numeric values outside plausible bounds.
-    pub numeric_outliers: bool,
-    /// §2.1.6 — rows violating discovered functional dependencies.
-    pub functional_dependencies: bool,
-    /// §2.1.7 — exact duplicate rows.
-    pub duplication: bool,
-    /// §2.1.8 — duplicate values in key-like columns.
-    pub uniqueness: bool,
+    /// Indexed by the kind's position in [`STAGE_ORDER`], which is its
+    /// declaration order.
+    on: [bool; STAGE_ORDER.len()],
 }
 
 impl Default for IssueToggles {
     fn default() -> Self {
-        IssueToggles {
-            string_outliers: true,
-            pattern_outliers: true,
-            disguised_missing: true,
-            column_type: true,
-            numeric_outliers: true,
-            functional_dependencies: true,
-            duplication: true,
-            uniqueness: true,
-        }
+        IssueToggles { on: [true; STAGE_ORDER.len()] }
+    }
+}
+
+impl IssueToggles {
+    /// Every issue off except `kind`.
+    pub fn only(kind: IssueKind) -> Self {
+        let mut toggles = IssueToggles { on: [false; STAGE_ORDER.len()] };
+        toggles.set(kind, true);
+        toggles
+    }
+
+    /// Whether the pipeline runs `kind`.
+    pub fn enabled(&self, kind: IssueKind) -> bool {
+        self.on[kind as usize]
+    }
+
+    /// Turns `kind` on or off.
+    pub fn set(&mut self, kind: IssueKind, on: bool) {
+        self.on[kind as usize] = on;
     }
 }
 
@@ -169,16 +168,8 @@ impl CleanerConfig {
     /// The JSON wire form of this config (round-trips through
     /// [`from_json`](Self::from_json)).
     pub fn to_json(&self) -> Json {
-        let issues = Json::object([
-            ("string_outliers".into(), Json::Bool(self.issues.string_outliers)),
-            ("pattern_outliers".into(), Json::Bool(self.issues.pattern_outliers)),
-            ("disguised_missing".into(), Json::Bool(self.issues.disguised_missing)),
-            ("column_type".into(), Json::Bool(self.issues.column_type)),
-            ("numeric_outliers".into(), Json::Bool(self.issues.numeric_outliers)),
-            ("functional_dependencies".into(), Json::Bool(self.issues.functional_dependencies)),
-            ("duplication".into(), Json::Bool(self.issues.duplication)),
-            ("uniqueness".into(), Json::Bool(self.issues.uniqueness)),
-        ]);
+        let issues =
+            Json::object(STAGE_ORDER.map(|k| (k.key().into(), Json::Bool(self.issues.enabled(k)))));
         Json::object([
             ("sample_size".into(), Json::Number(self.sample_size as f64)),
             ("batch_size".into(), Json::Number(self.batch_size as f64)),
@@ -213,31 +204,10 @@ impl CleanerConfig {
         }
     }
 
-    /// A configuration with every semantic step disabled except `only` —
+    /// A configuration with every semantic step disabled except `issue` —
     /// used by ablations.
-    pub fn only_issue(issue: &str) -> Self {
-        let mut toggles = IssueToggles {
-            string_outliers: false,
-            pattern_outliers: false,
-            disguised_missing: false,
-            column_type: false,
-            numeric_outliers: false,
-            functional_dependencies: false,
-            duplication: false,
-            uniqueness: false,
-        };
-        match issue {
-            "string_outliers" => toggles.string_outliers = true,
-            "pattern_outliers" => toggles.pattern_outliers = true,
-            "disguised_missing" => toggles.disguised_missing = true,
-            "column_type" => toggles.column_type = true,
-            "numeric_outliers" => toggles.numeric_outliers = true,
-            "functional_dependencies" => toggles.functional_dependencies = true,
-            "duplication" => toggles.duplication = true,
-            "uniqueness" => toggles.uniqueness = true,
-            _ => {}
-        }
-        CleanerConfig { issues: toggles, ..CleanerConfig::default() }
+    pub fn only_issue(issue: IssueKind) -> Self {
+        CleanerConfig { issues: IssueToggles::only(issue), ..CleanerConfig::default() }
     }
 }
 
@@ -269,17 +239,10 @@ fn apply_issue_toggles(toggles: &mut IssueToggles, json: &Json) -> Result<()> {
     };
     for (key, value) in members {
         let on = bool_field(key, value)?;
-        match key.as_str() {
-            "string_outliers" => toggles.string_outliers = on,
-            "pattern_outliers" => toggles.pattern_outliers = on,
-            "disguised_missing" => toggles.disguised_missing = on,
-            "column_type" => toggles.column_type = on,
-            "numeric_outliers" => toggles.numeric_outliers = on,
-            "functional_dependencies" => toggles.functional_dependencies = on,
-            "duplication" => toggles.duplication = on,
-            "uniqueness" => toggles.uniqueness = on,
-            other => return Err(CoreError::Config(format!("unknown issue toggle \"{other}\""))),
-        }
+        let Some(kind) = STAGE_ORDER.into_iter().find(|kind| kind.key() == key) else {
+            return Err(CoreError::Config(format!("unknown issue toggle \"{key}\"")));
+        };
+        toggles.set(kind, on);
     }
     Ok(())
 }
@@ -293,7 +256,7 @@ mod tests {
         let c = CleanerConfig::default();
         assert_eq!(c.sample_size, 1000);
         assert_eq!(c.batch_size, 1000);
-        assert!(c.issues.string_outliers && c.issues.uniqueness);
+        assert!(STAGE_ORDER.iter().all(|&kind| c.issues.enabled(kind)));
     }
 
     #[test]
@@ -320,11 +283,25 @@ mod tests {
             threads: Some(3),
             statistical_context: false,
             confidence_threshold: 0.75,
-            issues: CleanerConfig::only_issue("column_type").issues,
+            issues: IssueToggles::only(IssueKind::ColumnType),
             ..CleanerConfig::default()
         };
         let round = CleanerConfig::from_json(&config.to_json()).unwrap();
         assert_eq!(round, config);
+        // The toggles' wire form: one key per stage, each its kind's
+        // `key()`. Objects emit their keys sorted, whatever the build order.
+        let json = config.to_json();
+        let issues = json.get("issues").unwrap();
+        for kind in STAGE_ORDER {
+            let on = kind == IssueKind::ColumnType;
+            assert_eq!(issues.get(kind.key()), Some(&Json::Bool(on)), "{kind:?}");
+        }
+        assert_eq!(
+            issues.to_string(),
+            "{\"column_type\": true, \"disguised_missing\": false, \"duplication\": false, \
+             \"functional_dependencies\": false, \"numeric_outliers\": false, \
+             \"pattern_outliers\": false, \"string_outliers\": false, \"uniqueness\": false}"
+        );
     }
 
     #[test]
@@ -335,10 +312,18 @@ mod tests {
         .unwrap();
         let config = CleanerConfig::from_json(&json).unwrap();
         assert_eq!(config.threads, Some(1));
-        assert!(!config.issues.functional_dependencies);
+        assert!(!config.issues.enabled(IssueKind::FunctionalDependency));
         // Everything else keeps the paper defaults.
         assert_eq!(config.sample_size, 1000);
-        assert!(config.issues.string_outliers);
+        assert!(config.issues.enabled(IssueKind::StringOutliers));
+        // Each stage's wire key turns off exactly that stage.
+        for kind in STAGE_ORDER {
+            let raw = format!(r#"{{"issues": {{"{}": false}}}}"#, kind.key());
+            let config = CleanerConfig::from_json(&cocoon_llm::json::parse(&raw).unwrap()).unwrap();
+            for other in STAGE_ORDER {
+                assert_eq!(config.issues.enabled(other), other != kind, "{raw}: {other:?}");
+            }
+        }
     }
 
     #[test]
@@ -391,9 +376,11 @@ mod tests {
 
     #[test]
     fn only_issue_isolates() {
-        let c = CleanerConfig::only_issue("column_type");
-        assert!(c.issues.column_type);
-        assert!(!c.issues.string_outliers);
-        assert!(!c.issues.functional_dependencies);
+        for kind in STAGE_ORDER {
+            let c = CleanerConfig::only_issue(kind);
+            for other in STAGE_ORDER {
+                assert_eq!(c.issues.enabled(other), other == kind, "{kind:?}: {other:?}");
+            }
+        }
     }
 }

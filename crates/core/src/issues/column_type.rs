@@ -11,53 +11,29 @@
 //! → cast compile → apply with the destructive-cast guard.
 
 use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{weakest, DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_cleaning_map, parse_type_verdict, prompts};
 use cocoon_sql::Expr;
 use cocoon_table::{infer_column_type, DataType};
 
-struct Finding {
+/// The cast a finding proposes.
+struct Cast {
     index: usize,
-    column: String,
-    evidence: String,
-    reasoning: String,
     target: DataType,
     /// Semantic numeric-conversion map ("1 hr. 30 min." → "90"), prefetched
     /// for numeric targets whose census holds non-parsing values.
     conversion_mapping: Vec<(String, String)>,
     conversion_reasoning: String,
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("column-type review on {column:?} degraded to statistical-only: {err}")
 }
 
 /// Runs column-type review and casting over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|t| t == DataType::Text, detect, decide, "column-type review");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<Cast>>> {
     let census = ctx.census(index, 50);
     if census.is_empty() {
         return Ok(Outcome::Clean);
@@ -111,58 +87,37 @@ fn detect_inner(
             conversion_mapping = restrict_mapping(&map.mapping, &failing);
             if !conversion_mapping.is_empty() {
                 conversion_reasoning = map.explanation;
-                confidence = match (confidence, map.confidence) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                confidence = weakest(confidence, map.confidence);
             }
         }
     }
     Ok(Outcome::Finding(Finding {
-        index,
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: verdict.reasoning,
-        target,
-        conversion_mapping,
-        conversion_reasoning,
         confidence,
+        plan: Cast { index, target, conversion_mapping, conversion_reasoning },
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let target = finding.target;
-    let detection = DetectionReview {
-        issue: IssueKind::ColumnType,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("column-type cast on {column:?} rejected by reviewer"));
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<Cast>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::ColumnType;
+    if !state.review_detection(kind, finding, format_args!("column-type cast on {column:?}")) {
         return Ok(());
     }
-
-    let inner = if finding.conversion_mapping.is_empty() {
+    let Cast { index, target, conversion_mapping, conversion_reasoning } = &finding.plan;
+    let inner = if conversion_mapping.is_empty() {
         Expr::col(column)
     } else {
-        Expr::Case {
-            operand: Some(Box::new(Expr::col(column))),
-            arms: mapping_to_values(&finding.conversion_mapping)
-                .into_iter()
-                .map(|(old, new)| (Expr::Literal(old), Expr::Literal(new)))
-                .collect(),
-            otherwise: Some(Box::new(Expr::col(column))),
-        }
+        Expr::value_map(column, &mapping_to_values(conversion_mapping))
     };
-    let expr = Expr::try_cast(inner, target);
-    let select = column_rewrite_select(&state.table, column, expr);
+    let select = column_rewrite_select(&state.table, column, Expr::try_cast(inner, *target));
     let (table, changed) = apply_and_count(&select, &state.table)?;
     // A cast that empties the column means the suggestion was wrong; the
     // human-in-the-loop would reject it, and so do we.
-    let nulls_before = state.table.column(finding.index)?.null_count();
-    let nulls_after = table.column(finding.index)?.null_count();
+    let nulls_before = state.table.column(*index)?.null_count();
+    let nulls_after = table.column(*index)?.null_count();
     let non_null_before = state.table.height() - nulls_before;
     if non_null_before > 0 {
         let lost = nulls_after.saturating_sub(nulls_before);
@@ -174,20 +129,8 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
             return Ok(());
         }
     }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::ColumnType,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: format!("{} {}", finding.reasoning, finding.conversion_reasoning)
-                .trim()
-                .to_string(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    let reasoning = format!("{} {conversion_reasoning}", finding.reasoning).trim().to_string();
+    state.commit(kind, finding, select, (table, changed), reasoning);
     Ok(())
 }
 
@@ -196,6 +139,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{Table, Value};
 

@@ -7,50 +7,22 @@
 //! Detect phase (concurrent, per text column): census → DMV prompt → token
 //! filter. Decide phase (sequential): cleaning review → SQL compile → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values};
-use crate::decision::{CleaningReview, Decision};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::apply::value_map_rewrite;
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_dmv_verdict, prompts};
-use cocoon_sql::{render_select, Expr};
 use cocoon_table::DataType;
 
-struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    /// token → "" (the Figure 3 convention: empty new value means NULL).
-    mapping: Vec<(String, String)>,
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("DMV detection on {column:?} degraded to statistical-only: {err}")
-}
+/// token → "" (the Figure 3 convention: empty new value means NULL).
+type Mapping = Vec<(String, String)>;
 
 /// Runs DMV detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|t| t == DataType::Text, detect, decide, "DMV detection");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<Mapping>>> {
     let census = ctx.census(index, ctx.config.sample_size);
     if census.is_empty() {
         return Ok(Outcome::Clean);
@@ -74,53 +46,28 @@ fn detect_inner(
     let evidence =
         format!("{} distinct values reviewed; numeric share {numeric_share:.2}", census.len());
     Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: verdict.reasoning,
-        mapping,
         confidence: verdict.confidence,
+        plan: mapping,
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let expr = Expr::value_map(column, &mapping_to_values(&finding.mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let preview = render_select(&select);
-    let review = CleaningReview {
-        issue: IssueKind::DisguisedMissing,
-        column: Some(column),
-        llm_explanation: &finding.reasoning,
-        mapping: &finding.mapping,
-        sql_preview: &preview,
-    };
-    let mapping = match state.hook.review_cleaning(&review) {
-        Decision::Reject => {
-            state.note(format!("DMV cleaning on {column:?} rejected by reviewer"));
-            return Ok(());
-        }
-        Decision::AdjustMapping(adjusted) => adjusted,
-        Decision::Approve => finding.mapping.clone(),
-    };
-    let expr = Expr::value_map(column, &mapping_to_values(&mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<Mapping>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::DisguisedMissing;
+    let Some(select) = state.review_cleaning(
+        kind,
+        finding,
+        &finding.reasoning,
+        &finding.plan,
+        |table, mapping| value_map_rewrite(table, column, mapping),
+        format_args!("DMV cleaning on {column:?}"),
+    ) else {
         return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::DisguisedMissing,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    };
+    state.apply(kind, finding, select, finding.reasoning.clone())
 }
 
 #[cfg(test)]

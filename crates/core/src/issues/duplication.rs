@@ -7,38 +7,22 @@
 //! The whole table is one detection unit, so the detect phase is a single
 //! read-only task; the decide phase reviews and applies as usual.
 
-use crate::apply::apply_and_count;
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::error::{CoreError, Result};
+use crate::ops::IssueKind;
+use crate::state::{DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_dup_verdict, prompts};
 use cocoon_profile::duplicate_profile;
 use cocoon_sql::Select;
 
-struct Finding {
-    evidence: String,
-    reasoning: String,
-    confidence: Option<f64>,
-}
-
 /// Runs duplicate-row review over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcome = detect(&state.detect_ctx());
-    state.decide_outcomes(vec![outcome], decide, |_, err| {
-        format!("duplication review degraded to statistical-only: {err}")
-    });
+    let degraded =
+        |err: &CoreError| format!("duplication review degraded to statistical-only: {err}");
+    let outcome = detect(&state.detect_ctx()).unwrap_or_else(|err| Outcome::Note(degraded(&err)));
+    state.decide_outcomes(vec![outcome], decide, |_, err| degraded(err));
 }
 
-fn detect(ctx: &DetectCtx<'_>) -> Outcome<Finding> {
-    match detect_inner(ctx) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            Outcome::Note(format!("duplication review degraded to statistical-only: {err}"))
-        }
-    }
-}
-
-fn detect_inner(ctx: &DetectCtx<'_>) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>) -> Result<Outcome<Finding<()>>> {
     let profile = match ctx.table_profile() {
         Some(entry) => entry.duplicates.clone(),
         None => duplicate_profile(ctx.table),
@@ -61,39 +45,22 @@ fn detect_inner(ctx: &DetectCtx<'_>) -> crate::error::Result<Outcome<Finding>> {
         )));
     }
     Ok(Outcome::Finding(Finding {
+        column: None,
         evidence,
         reasoning: verdict.reasoning,
         confidence: verdict.confidence,
+        plan: (),
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let detection = DetectionReview {
-        issue: IssueKind::Duplication,
-        column: None,
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note("duplicate removal rejected by reviewer".to_string());
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<()>) -> Result<()> {
+    let kind = IssueKind::Duplication;
+    if !state.review_detection(kind, finding, "duplicate removal") {
         return Ok(());
     }
     let mut select = Select::star("input");
     select.distinct = true;
-    let (table, removed) = apply_and_count(&select, &state.table)?;
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::Duplication,
-            column: None,
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: removed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    state.apply(kind, finding, select, finding.reasoning.clone())
 }
 
 #[cfg(test)]
@@ -101,6 +68,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::Table;
 

@@ -5,7 +5,8 @@
 //! whether a statistically strong FD is *semantically* meaningful (the
 //! Flights `flight → actual time` FD is the canonical rejection); for
 //! meaningful FDs the LLM maps each violating group's wrong values to the
-//! correct one, compiled to a group-scoped `CASE WHEN`.
+//! correct one, compiled to a group-scoped `CASE WHEN`. A reviewer's
+//! adjusted mapping compiles under the same group-scoped rule.
 //!
 //! Detect phase (concurrent, per candidate pair): violating groups on the
 //! stage-entry snapshot → semantic FD review. Decide phase (sequential):
@@ -15,22 +16,28 @@
 //! once an earlier repair rewrote either, it recomputes its groups against
 //! the live table.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{CleaningReview, Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{unchanged, DetectCtx, Outcome, PipelineState};
+use crate::apply::column_rewrite_select;
+use crate::error::{CoreError, Result};
+use crate::ops::IssueKind;
+use crate::state::{unchanged, weakest, DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{fd_violating_groups, FdCandidate, FdScan};
-use cocoon_sql::{render_select, Expr};
-use cocoon_table::{Table, Value};
+use cocoon_sql::Expr;
+use cocoon_table::{DataType, Table, Value};
 
 /// Violating groups: `(lhs value, rhs census)`, census by descending count.
 type Groups = Vec<(Value, Vec<(Value, usize)>)>;
 
+/// Violating groups rendered as prompt text.
+type GroupsText = Vec<(String, Vec<(String, usize)>)>;
+
 /// How many violating groups the semantic review prompt shows.
 const REVIEW_GROUPS: usize = 5;
 
-struct Finding {
+/// A candidate FD as detection left it on the stage-entry snapshot. It
+/// becomes a [`Finding`] in the decide phase, once its violating groups
+/// are known to be current and its review found it meaningful.
+struct Candidate {
     lhs: usize,
     rhs: usize,
     lhs_name: String,
@@ -46,7 +53,7 @@ struct Finding {
     groups: Groups,
 }
 
-fn degraded(err: &crate::error::CoreError) -> String {
+fn degraded(err: &CoreError) -> String {
     format!("FD repair degraded to statistical-only: {err}")
 }
 
@@ -67,17 +74,19 @@ pub fn run(state: &mut PipelineState<'_>) {
             Some(profile) => profile.fd_candidates.clone(),
             None => scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio),
         };
-        state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
+        state.detect_map(candidates, |ctx, candidate| {
+            detect(ctx, &scan, &candidate).unwrap_or_else(|err| Outcome::Note(degraded(&err)))
+        })
     };
     state.decide_outcomes(
         outcomes,
-        |state, finding| decide(state, &snapshot, finding),
+        |state, candidate| decide(state, &snapshot, candidate),
         |_, err| degraded(err),
     );
 }
 
 /// Renders groups as prompt text.
-fn render(groups: &[(Value, Vec<(Value, usize)>)]) -> Vec<(String, Vec<(String, usize)>)> {
+fn render(groups: &[(Value, Vec<(Value, usize)>)]) -> GroupsText {
     groups
         .iter()
         .map(|(l, census)| (l.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect()))
@@ -90,27 +99,16 @@ fn review_prompt(lhs_name: &str, rhs_name: &str, strength: f64, groups: &Groups)
     prompts::fd_review(lhs_name, rhs_name, strength, groups.len(), &head)
 }
 
-fn detect_candidate(
-    ctx: &DetectCtx<'_>,
-    scan: &FdScan,
-    candidate: FdCandidate,
-) -> Outcome<Finding> {
-    match detect_inner(ctx, scan, &candidate) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&err)),
-    }
-}
-
-fn detect_inner(
+fn detect(
     ctx: &DetectCtx<'_>,
     scan: &FdScan,
     candidate: &FdCandidate,
-) -> crate::error::Result<Outcome<Finding>> {
+) -> Result<Outcome<Candidate>> {
     let lhs_name = ctx.table.schema().field(candidate.lhs)?.name().to_string();
     let rhs_name = ctx.table.schema().field(candidate.rhs)?.name().to_string();
     let mut groups = scan.violating_groups(candidate.lhs, candidate.rhs);
-    // No violations on the snapshot: no review to spend. The finding still
-    // reaches the decide phase, which re-checks against the live table.
+    // No violations on the snapshot: no review to spend. The candidate
+    // still reaches the decide phase, which re-checks the live table.
     let verdict = if groups.is_empty() {
         None
     } else {
@@ -120,7 +118,7 @@ fn detect_inner(
     if verdict.as_ref().is_some_and(|verdict| !verdict.meaningful) {
         groups.truncate(REVIEW_GROUPS);
     }
-    Ok(Outcome::Finding(Finding {
+    Ok(Outcome::Finding(Candidate {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
         lhs_name,
@@ -132,129 +130,109 @@ fn detect_inner(
 }
 
 /// Reviews and (when approved) repairs one candidate.
-fn decide(
-    state: &mut PipelineState<'_>,
-    snapshot: &Table,
-    finding: &Finding,
-) -> crate::error::Result<()> {
-    let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
+fn decide(state: &mut PipelineState<'_>, snapshot: &Table, candidate: &Candidate) -> Result<()> {
+    let (lhs_name, rhs_name) = (candidate.lhs_name.as_str(), candidate.rhs_name.as_str());
     // The snapshot's groups serve while lhs and rhs are unchanged; once an
     // earlier repair rewrote either, they are recomputed on the live table.
     let live: Groups;
-    let groups = if unchanged(snapshot, &state.table, [finding.lhs, finding.rhs]) {
-        &finding.groups
+    let groups = if unchanged(snapshot, &state.table, [candidate.lhs, candidate.rhs]) {
+        &candidate.groups
     } else {
         let column = |i| state.table.column(i).map(|c| c.values());
-        live = fd_violating_groups(column(finding.lhs)?, column(finding.rhs)?);
+        live = fd_violating_groups(column(candidate.lhs)?, column(candidate.rhs)?);
         &live
     };
     if groups.is_empty() {
         return Ok(());
     }
-    let verdict = match &finding.verdict {
+    let verdict = match &candidate.verdict {
         Some(verdict) => verdict.clone(),
         // An earlier repair created violations the snapshot didn't have;
         // ask for the semantic review now, on live groups.
         None => {
-            let prompt = review_prompt(lhs_name, rhs_name, finding.strength, groups);
+            let prompt = review_prompt(lhs_name, rhs_name, candidate.strength, groups);
             parse_fd_verdict(&state.ask(prompt)?)?
         }
     };
-    let FdVerdict { meaningful, reasoning, confidence: review_confidence } = verdict;
+    let FdVerdict { meaningful, reasoning, confidence } = verdict;
     if !meaningful {
         state.note(format!(
             "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
         ));
         return Ok(());
     }
-    let evidence =
-        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups.len());
-    let detection = DetectionReview {
-        issue: IssueKind::FunctionalDependency,
-        column: Some(rhs_name),
-        statistical_evidence: &evidence,
-        llm_reasoning: &reasoning,
+    let finding = Finding {
+        column: Some(rhs_name.to_string()),
+        evidence: format!(
+            "entropy strength {:.3}; {} violating groups",
+            candidate.strength,
+            groups.len()
+        ),
+        reasoning,
+        confidence,
+        plan: render(groups),
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("FD {lhs_name} → {rhs_name} rejected by reviewer"));
+    let kind = IssueKind::FunctionalDependency;
+    if !state.review_detection(kind, &finding, format_args!("FD {lhs_name} → {rhs_name}")) {
         return Ok(());
     }
 
     // Semantic cleaning: the LLM provides the correct mapping per group.
-    let groups_text = render(groups);
-    let response = state.ask(prompts::fd_mapping(lhs_name, rhs_name, &groups_text))?;
+    let response = state.ask(prompts::fd_mapping(lhs_name, rhs_name, &finding.plan))?;
     let map = parse_cleaning_map(&response)?;
-    if map.mapping.is_empty() {
-        return Ok(());
-    }
 
     // Compile group-scoped CASE arms: a pair (old → new) applies only inside
     // groups that contain `old` and whose plurality value is `new`. Literals
     // are parsed back into the column's declared type so repairs keep
     // working after a CAST step retyped the column.
-    let lhs_type = state.table.schema().field(finding.lhs)?.data_type();
-    let rhs_type = state.table.schema().field(finding.rhs)?.data_type();
-    let typed = |raw: &str, ty: cocoon_table::DataType| -> Value {
+    let field_type = |i| state.table.schema().field(i).map(|f| f.data_type());
+    let (lhs_type, rhs_type) = (field_type(candidate.lhs)?, field_type(candidate.rhs)?);
+    let typed = |raw: &str, ty: DataType| -> Value {
         let text = Value::Text(raw.to_string());
         text.cast(ty).unwrap_or(text)
     };
-    let mut arms: Vec<(Expr, Expr)> = Vec::new();
-    let mut pairs_for_review: Vec<(String, String)> = Vec::new();
-    for (lhs_value, census) in &groups_text {
-        let Some((top_value, _)) = census.first() else { continue };
-        for (old, new) in &map.mapping {
-            if new != top_value || old == new {
-                continue;
+    let compile = |table: &Table, mapping: &[(String, String)]| {
+        let mut arms: Vec<(Expr, Expr)> = Vec::new();
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for (lhs_value, census) in &finding.plan {
+            let Some((top_value, _)) = census.first() else { continue };
+            for (old, new) in mapping {
+                if new != top_value || old == new || !census.iter().any(|(v, _)| v == old) {
+                    continue;
+                }
+                let condition = Expr::and(
+                    Expr::eq(Expr::col(lhs_name), Expr::Literal(typed(lhs_value, lhs_type))),
+                    Expr::eq(Expr::col(rhs_name), Expr::Literal(typed(old, rhs_type))),
+                );
+                arms.push((condition, Expr::Literal(typed(new, rhs_type))));
+                pairs.push((old.clone(), new.clone()));
             }
-            if !census.iter().any(|(v, _)| v == old) {
-                continue;
-            }
-            let condition = Expr::and(
-                Expr::eq(Expr::col(lhs_name), Expr::Literal(typed(lhs_value, lhs_type))),
-                Expr::eq(Expr::col(rhs_name), Expr::Literal(typed(old, rhs_type))),
-            );
-            arms.push((condition, Expr::Literal(typed(new, rhs_type))));
-            pairs_for_review.push((old.clone(), new.clone()));
         }
-    }
-    if arms.is_empty() {
-        return Ok(());
-    }
-    let expr = Expr::Case { operand: None, arms, otherwise: Some(Box::new(Expr::col(rhs_name))) };
-    let select = column_rewrite_select(&state.table, rhs_name, expr);
-    let preview = render_select(&select);
-    let review = CleaningReview {
-        issue: IssueKind::FunctionalDependency,
-        column: Some(rhs_name),
-        llm_explanation: &map.explanation,
-        mapping: &pairs_for_review,
-        sql_preview: &preview,
+        let otherwise = Some(Box::new(Expr::col(rhs_name)));
+        (
+            column_rewrite_select(table, rhs_name, Expr::Case { operand: None, arms, otherwise }),
+            pairs,
+        )
     };
-    if state.hook.review_cleaning(&review) == Decision::Reject {
-        state.note(format!("FD repair {lhs_name} → {rhs_name} rejected by reviewer"));
+    let Some(select) = state.review_cleaning(
+        kind,
+        &finding,
+        &map.explanation,
+        &map.mapping,
+        compile,
+        format_args!("FD repair {lhs_name} → {rhs_name}"),
+    ) else {
         return Ok(());
-    }
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(());
-    }
-    let confidence = match (review_confidence, map.confidence) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
     };
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::FunctionalDependency,
-            column: Some(rhs_name.to_string()),
-            statistical_evidence: format!("{lhs_name} → {rhs_name}: {evidence}"),
-            llm_reasoning: format!("{reasoning} {}", map.explanation),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(confidence),
-        },
-    );
-    Ok(())
+    // The op names the FD in its evidence, and carries the weaker of the
+    // review's and the mapping's confidence.
+    let reasoning = format!("{} {}", finding.reasoning, map.explanation);
+    let finding = Finding {
+        evidence: format!("{lhs_name} → {rhs_name}: {}", finding.evidence),
+        confidence: weakest(finding.confidence, map.confidence),
+        ..finding
+    };
+    state.apply(kind, &finding, select, reasoning)
 }
 
 #[cfg(test)]
@@ -262,6 +240,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::Table;
 

@@ -7,6 +7,14 @@
 //! `decide` that routes each finding through the [`crate::DecisionHook`]
 //! reviews and applies the compiled SQL. Detection sees the table as it
 //! stood when the stage began; mutation happens only in the decide phase.
+//!
+//! A module supplies only what is specific to its issue: the detect body
+//! that turns statistics and model verdicts into a `Finding` (with the
+//! stage's own repair plan), the compile step from that plan to SQL, and
+//! the wording of its notes. [`PipelineState`](crate::PipelineState) owns
+//! the per-column fan-out and its type gate, the two reviews, and applying
+//! and committing the op, so a per-column stage's `run` is one call to
+//! `column_stage`.
 
 pub mod column_type;
 pub mod dmv;

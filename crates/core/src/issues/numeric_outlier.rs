@@ -9,50 +9,23 @@
 //! Detect phase (concurrent, per numeric column): profile → range prompt →
 //! offender count. Decide phase (sequential): hook review → SQL → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::apply::column_rewrite_select;
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_range_verdict, prompts};
 use cocoon_profile::numeric_profile;
 use cocoon_sql::{BinaryOp, Expr};
 
-struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    low: Option<f64>,
-    high: Option<f64>,
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("numeric outliers on {column:?} degraded to statistical-only: {err}")
-}
+/// The accepted range `(low, high)`; at least one bound is set.
+type Bounds = (Option<f64>, Option<f64>);
 
 /// Runs numeric-outlier review over every numeric column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|t| t.is_numeric(), detect, decide, "numeric outliers");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if !field.data_type().is_numeric() {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<Bounds>>> {
     let numeric = match ctx.column_profile(index) {
         Some(profile) => profile.numeric.clone(),
         None => numeric_profile(ctx.table.column(index)?),
@@ -93,63 +66,35 @@ fn detect_inner(
         high.map(|v| v.to_string()).unwrap_or_else(|| "+∞".into()),
     );
     Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: verdict.reasoning,
-        low,
-        high,
         confidence: verdict.confidence,
+        plan: (low, high),
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let detection = DetectionReview {
-        issue: IssueKind::NumericOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("numeric outliers on {column:?} rejected by reviewer"));
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<Bounds>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::NumericOutliers;
+    if !state.review_detection(kind, finding, format_args!("numeric outliers on {column:?}")) {
         return Ok(());
     }
-
     // CASE WHEN col < low OR col > high THEN NULL ELSE col END
-    let mut condition: Option<Expr> = None;
-    if let Some(l) = finding.low {
-        condition = Some(Expr::binary(BinaryOp::Lt, Expr::col(column), Expr::lit(l)));
-    }
-    if let Some(h) = finding.high {
-        let gt = Expr::binary(BinaryOp::Gt, Expr::col(column), Expr::lit(h));
-        condition = Some(match condition {
-            Some(c) => Expr::or(c, gt),
-            None => gt,
-        });
-    }
+    let (low, high) = finding.plan;
+    let below = low.map(|l| Expr::binary(BinaryOp::Lt, Expr::col(column), Expr::lit(l)));
+    let above = high.map(|h| Expr::binary(BinaryOp::Gt, Expr::col(column), Expr::lit(h)));
+    let condition = match (below, above) {
+        (Some(below), Some(above)) => Expr::or(below, above),
+        (bound, other) => bound.or(other).expect("at least one bound"),
+    };
     let expr = Expr::Case {
         operand: None,
-        arms: vec![(condition.expect("at least one bound"), Expr::null())],
+        arms: vec![(condition, Expr::null())],
         otherwise: Some(Box::new(Expr::col(column))),
     };
     let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::NumericOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    state.apply(kind, finding, select, finding.reasoning.clone())
 }
 
 #[cfg(test)]
@@ -157,6 +102,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{DataType, Table, Value};
 

@@ -9,52 +9,25 @@
 //! → pattern verification. Decide phase (sequential): hook review → SQL
 //! compile → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::apply::column_rewrite_select;
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_pattern_plan, prompts};
 use cocoon_pattern::Regex;
 use cocoon_profile::pattern_census;
 use cocoon_sql::Expr;
 use cocoon_table::DataType;
 
-struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    /// (pattern, replacement) pairs, all verified to compile.
-    transforms: Vec<(String, String)>,
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("pattern outliers on {column:?} degraded to statistical-only: {err}")
-}
+/// The (pattern, replacement) transforms, all verified to compile.
+type Transforms = Vec<(String, String)>;
 
 /// Runs pattern-outlier detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|t| t == DataType::Text, detect, decide, "pattern outliers");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<Transforms>>> {
     // The entry profile (built with exact pattern digests, per
     // `CleanerConfig::profile_options`) already holds this census.
     let census = match ctx.column_profile(index) {
@@ -99,53 +72,30 @@ fn detect_inner(
         return Ok(Outcome::Clean);
     }
     Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: plan.reasoning,
-        transforms: valid_transforms,
         confidence: plan.confidence,
+        plan: valid_transforms,
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let detection = DetectionReview {
-        issue: IssueKind::PatternOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("pattern outliers on {column:?} rejected by reviewer"));
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<Transforms>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::PatternOutliers;
+    if !state.review_detection(kind, finding, format_args!("pattern outliers on {column:?}")) {
         return Ok(());
     }
-
     // expr = REGEXP_REPLACE(…(REGEXP_REPLACE(col, p1, r1))…, pn, rn)
     let mut expr = Expr::col(column);
-    for (pattern, replacement) in &finding.transforms {
+    for (pattern, replacement) in &finding.plan {
         expr = Expr::func(
             "REGEXP_REPLACE",
             vec![expr, Expr::lit(pattern.as_str()), Expr::lit(replacement.as_str())],
         );
     }
     let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::PatternOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    state.apply(kind, finding, select, finding.reasoning.clone())
 }
 
 #[cfg(test)]

@@ -10,56 +10,28 @@
 //! [`cocoon_llm::ChatModel::complete_batch`] so a batching backend amortises
 //! them. Decide phase (sequential): hook reviews → SQL compile → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
-use crate::decision::{CleaningReview, Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::apply::{restrict_mapping, value_map_rewrite};
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{weakest, DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::prompts;
 use cocoon_llm::{parse_cleaning_map, parse_detect_verdict};
 use cocoon_profile::batches;
-use cocoon_sql::{render_select, Expr};
 use cocoon_table::DataType;
 
-/// A column flagged by detection, carrying everything the decide phase
-/// needs: evidence, reasoning, and the prefetched cleaning map.
-struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    explanations: Vec<String>,
+/// The prefetched cleaning: the model's explanations, joined, and its
+/// old → new map.
+struct Plan {
+    explanation: String,
     mapping: Vec<(String, String)>,
-    /// Weakest self-reported confidence across the detect and clean
-    /// completions, when any stated one.
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("string outliers on {column:?} degraded to statistical-only: {err}")
 }
 
 /// Runs string-outlier detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|t| t == DataType::Text, detect, decide, "string outliers");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<Plan>>> {
     let census = ctx.census(index, ctx.config.sample_size);
     if census.len() < 2 {
         return Ok(Outcome::Clean);
@@ -93,76 +65,39 @@ fn detect_inner(
         if !map.explanation.is_empty() {
             explanations.push(map.explanation.clone());
         }
-        confidence = match (confidence, map.confidence) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        confidence = weakest(confidence, map.confidence);
         mapping.extend(restrict_mapping(&map.mapping, batch));
     }
     if mapping.is_empty() {
         return Ok(Outcome::Clean);
     }
     Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: verdict.reasoning,
-        explanations,
-        mapping,
         confidence,
+        plan: Plan { explanation: explanations.join(" "), mapping },
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let detection = DetectionReview {
-        issue: IssueKind::StringOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("string outliers on {column:?} rejected by reviewer"));
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<Plan>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::StringOutliers;
+    if !state.review_detection(kind, finding, format_args!("string outliers on {column:?}")) {
         return Ok(());
     }
-
-    let expr = Expr::value_map(column, &mapping_to_values(&finding.mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let preview = render_select(&select);
-    let explanation = finding.explanations.join(" ");
-    let review = CleaningReview {
-        issue: IssueKind::StringOutliers,
-        column: Some(column),
-        llm_explanation: &explanation,
-        mapping: &finding.mapping,
-        sql_preview: &preview,
-    };
-    let mapping = match state.hook.review_cleaning(&review) {
-        Decision::Reject => {
-            state.note(format!("string-outlier cleaning on {column:?} rejected by reviewer"));
-            return Ok(());
-        }
-        Decision::AdjustMapping(adjusted) => adjusted,
-        Decision::Approve => finding.mapping.clone(),
-    };
-    let expr = Expr::value_map(column, &mapping_to_values(&mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
+    let Plan { explanation, mapping } = &finding.plan;
+    let Some(select) = state.review_cleaning(
+        kind,
+        finding,
+        explanation,
+        mapping,
+        |table, mapping| value_map_rewrite(table, column, mapping),
+        format_args!("string-outlier cleaning on {column:?}"),
+    ) else {
         return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::StringOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: format!("{} {}", finding.reasoning, explanation),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    };
+    state.apply(kind, finding, select, format!("{} {explanation}", finding.reasoning))
 }
 
 #[cfg(test)]

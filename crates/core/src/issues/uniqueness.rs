@@ -10,46 +10,22 @@
 //! Dedup drops rows, so the filter is always applied against the live
 //! table; a `removed == 0` apply (rows already gone) is a no-op.
 
-use crate::apply::apply_and_count;
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::error::Result;
+use crate::ops::IssueKind;
+use crate::state::{DetectCtx, Finding, Outcome, PipelineState};
 use cocoon_llm::{parse_unique_verdict, prompts};
 use cocoon_profile::uniqueness_profile;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
 
-struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    order_by: Option<String>,
-    confidence: Option<f64>,
-}
-
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("uniqueness review on {column:?} degraded to statistical-only: {err}")
-}
+/// The column the model chose to rank a key's rows by (latest kept).
+type OrderBy = Option<String>;
 
 /// Runs uniqueness review over every nearly-unique column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    state.column_stage(|_| true, detect, decide, "uniqueness review");
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
+fn detect(ctx: &DetectCtx<'_>, index: usize, column: &str) -> Result<Outcome<Finding<OrderBy>>> {
     let profile = match ctx.column_profile(index) {
         Some(entry) => entry.uniqueness.clone(),
         None => uniqueness_profile(ctx.table.column(index)?),
@@ -73,30 +49,24 @@ fn detect_inner(
         profile.duplicated_values.len()
     );
     Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+        column: Some(column.to_string()),
         evidence,
         reasoning: verdict.reasoning,
-        order_by: verdict.order_by,
         confidence: verdict.confidence,
+        plan: verdict.order_by,
     }))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let detection = DetectionReview {
-        issue: IssueKind::Uniqueness,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
-    };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("uniqueness dedup on {column:?} rejected by reviewer"));
+fn decide(state: &mut PipelineState<'_>, finding: &Finding<OrderBy>) -> Result<()> {
+    let column = finding.column.as_deref().unwrap_or_default();
+    let kind = IssueKind::Uniqueness;
+    if !state.review_detection(kind, finding, format_args!("uniqueness dedup on {column:?}")) {
         return Ok(());
     }
     // Window: keep the best row per key, ordered by the LLM-chosen column
     // (latest first) when available, else the first row.
     let order_by = finding
-        .order_by
+        .plan
         .as_deref()
         .filter(|c| state.table.schema().contains(c))
         .map(|c| vec![(Expr::col(c), SortOrder::Desc)])
@@ -109,23 +79,7 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
         qualify: Some(RowNumberFilter { partition_by: vec![Expr::col(column)], order_by, keep: 1 }),
         comment: None,
     };
-    let (table, removed) = apply_and_count(&select, &state.table)?;
-    if removed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::Uniqueness,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: removed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
-    Ok(())
+    state.apply(kind, finding, select, finding.reasoning.clone())
 }
 
 #[cfg(test)]
@@ -133,6 +87,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{Table, Value};
 

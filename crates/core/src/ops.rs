@@ -43,6 +43,21 @@ impl IssueKind {
         }
     }
 
+    /// The wire key naming this issue in a config's `"issues"` toggles
+    /// ([`CleanerConfig::from_json`](crate::CleanerConfig::from_json)).
+    pub fn key(&self) -> &'static str {
+        match self {
+            IssueKind::StringOutliers => "string_outliers",
+            IssueKind::PatternOutliers => "pattern_outliers",
+            IssueKind::DisguisedMissing => "disguised_missing",
+            IssueKind::ColumnType => "column_type",
+            IssueKind::NumericOutliers => "numeric_outliers",
+            IssueKind::FunctionalDependency => "functional_dependencies",
+            IssueKind::Duplication => "duplication",
+            IssueKind::Uniqueness => "uniqueness",
+        }
+    }
+
     /// Paper section for the report.
     pub fn section(&self) -> &'static str {
         match self {

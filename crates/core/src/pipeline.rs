@@ -16,7 +16,7 @@
 //! out the precondition). See [`crate::state`] for the detect/decide model
 //! and [`CleanerConfig::threads`] / `COCOON_THREADS` for the worker policy.
 
-use crate::config::{CleanerConfig, IssueToggles};
+use crate::config::CleanerConfig;
 use crate::decision::{AutoApprove, DecisionHook};
 use crate::error::Result;
 use crate::issues;
@@ -39,25 +39,23 @@ pub const STAGE_ORDER: [IssueKind; 8] = [
     IssueKind::Uniqueness,
 ];
 
-/// One pipeline stage: detects on, and rewrites, the state's table.
-type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
+/// Runs the stage of `kind` on the state's table.
+fn run_stage(kind: IssueKind, state: &mut PipelineState<'_>) {
+    match kind {
+        IssueKind::StringOutliers => issues::string_outlier::run(state),
+        IssueKind::PatternOutliers => issues::pattern_outlier::run(state),
+        IssueKind::DisguisedMissing => issues::dmv::run(state),
+        IssueKind::ColumnType => issues::column_type::run(state),
+        IssueKind::NumericOutliers => issues::numeric_outlier::run(state),
+        IssueKind::FunctionalDependency => issues::functional_dependency::run(state),
+        IssueKind::Duplication => issues::duplication::run(state),
+        IssueKind::Uniqueness => issues::uniqueness::run(state),
+    }
+}
 
-/// Every stage in [`STAGE_ORDER`], each with whether `toggles` enables it.
-fn stages(toggles: &IssueToggles) -> [(bool, IssueKind, StageFn); 8] {
-    [
-        (toggles.string_outliers, IssueKind::StringOutliers, issues::string_outlier::run),
-        (toggles.pattern_outliers, IssueKind::PatternOutliers, issues::pattern_outlier::run),
-        (toggles.disguised_missing, IssueKind::DisguisedMissing, issues::dmv::run),
-        (toggles.column_type, IssueKind::ColumnType, issues::column_type::run),
-        (toggles.numeric_outliers, IssueKind::NumericOutliers, issues::numeric_outlier::run),
-        (
-            toggles.functional_dependencies,
-            IssueKind::FunctionalDependency,
-            issues::functional_dependency::run,
-        ),
-        (toggles.duplication, IssueKind::Duplication, issues::duplication::run),
-        (toggles.uniqueness, IssueKind::Uniqueness, issues::uniqueness::run),
-    ]
+/// Whether the stage of `kind` reads the run's entry profile.
+fn reads_profile(kind: IssueKind) -> bool {
+    !matches!(kind, IssueKind::StringOutliers | IssueKind::DisguisedMissing)
 }
 
 /// The result of cleaning one table.
@@ -151,7 +149,7 @@ impl<M: ChatModel> Cleaner<M> {
         table: &Table,
         hook: &mut dyn DecisionHook,
     ) -> Result<CleaningRun> {
-        self.clean_observed(table, hook, None)
+        self.clean_seeded(table, hook, None, None)
     }
 
     /// Cleans with every step auto-approved, publishing stage-by-stage
@@ -164,39 +162,23 @@ impl<M: ChatModel> Cleaner<M> {
         progress: &RunProgress,
     ) -> Result<CleaningRun> {
         let mut hook = AutoApprove;
-        self.clean_observed(table, &mut hook, Some(progress))
-    }
-
-    /// Full-control variant: custom hook, optional progress observation.
-    pub fn clean_observed(
-        &self,
-        table: &Table,
-        hook: &mut dyn DecisionHook,
-        progress: Option<&RunProgress>,
-    ) -> Result<CleaningRun> {
-        self.clean_seeded(table, hook, progress, None)
-    }
-
-    /// Cleans a table that was **already profiled** — the streaming-ingest
-    /// path: `cocoon-server` accumulates a partial profile while a CSV
-    /// body is still arriving and hands the finalised [`TableProfile`]
-    /// here, so the run skips its whole-table profiling pass.
-    ///
-    /// The profile must describe `table` under this cleaner's
-    /// [`CleanerConfig::profile_options`] ([`TableProfile::matches`] is the
-    /// check); a stale or mismatched profile is discarded and recomputed,
-    /// with a note in the run. Because a merged partial profile is
-    /// bit-identical to the whole-table pass, the [`CleaningRun`] is
-    /// byte-identical to [`clean`](Cleaner::clean) either way.
-    pub fn clean_profiled(&self, table: &Table, profile: TableProfile) -> Result<CleaningRun> {
-        let mut hook = AutoApprove;
-        self.clean_seeded(table, &mut hook, None, Some(profile))
+        self.clean_seeded(table, &mut hook, Some(progress), None)
     }
 
     /// The fully general entry point: custom hook, optional progress
-    /// observation, optional prebuilt entry profile (`seed`; see
-    /// [`clean_profiled`](Cleaner::clean_profiled) for its contract). The
-    /// other `clean_*` methods are conveniences over this.
+    /// observation, and an optional `seed` profile for a table that was
+    /// **already profiled** — the streaming-ingest path: `cocoon-server`
+    /// accumulates a partial profile while a CSV body is still arriving and
+    /// hands the finalised [`TableProfile`] here, so the run skips its
+    /// whole-table profiling pass. The other `clean_*` methods are
+    /// conveniences over this.
+    ///
+    /// A seed must describe `table` under this cleaner's
+    /// [`CleanerConfig::profile_options`] ([`TableProfile::matches`] is the
+    /// check); a stale or mismatched one is discarded and recomputed, with
+    /// a note in the run. Because a merged partial profile is bit-identical
+    /// to the whole-table pass, the [`CleaningRun`] is byte-identical to
+    /// [`clean`](Cleaner::clean) either way.
     pub fn clean_seeded(
         &self,
         table: &Table,
@@ -204,8 +186,8 @@ impl<M: ChatModel> Cleaner<M> {
         progress: Option<&RunProgress>,
         seed: Option<TableProfile>,
     ) -> Result<CleaningRun> {
-        let toggles = &self.config.issues;
-        let stages = stages(toggles);
+        let stages: Vec<IssueKind> =
+            STAGE_ORDER.into_iter().filter(|&kind| self.config.issues.enabled(kind)).collect();
         let mut state = PipelineState::new(table.clone(), &self.llm, &self.config, hook);
         state.progress = progress;
         // Profile the entry table once, chunk-parallel on the stage pool;
@@ -213,13 +195,7 @@ impl<M: ChatModel> Cleaner<M> {
         // instead of re-deriving them, for as long as the columns they
         // describe stay unchanged (`state::unchanged`). Skipped when no
         // enabled stage consumes profiles (cheap ablation runs stay cheap).
-        let wants_profile = toggles.pattern_outliers
-            || toggles.column_type
-            || toggles.numeric_outliers
-            || toggles.functional_dependencies
-            || toggles.duplication
-            || toggles.uniqueness;
-        if wants_profile {
+        if stages.iter().any(|&kind| reads_profile(kind)) {
             let options = self.config.profile_options();
             let profile = match seed {
                 Some(profile) if profile.matches(&state.table, &options) => profile,
@@ -240,16 +216,13 @@ impl<M: ChatModel> Cleaner<M> {
             state.entry_profile = Some((state.table.clone(), profile));
         }
         if let Some(p) = progress {
-            p.begin(stages.iter().filter(|(enabled, _, _)| *enabled).count());
+            p.begin(stages.len());
         }
-        for (enabled, kind, run) in stages {
-            if !enabled {
-                continue;
-            }
+        for kind in stages {
             if let Some(p) = progress {
                 p.start_stage(kind.name());
             }
-            run(&mut state);
+            run_stage(kind, &mut state);
             if let Some(p) = progress {
                 p.finish_stage(state.ops.len());
             }
@@ -327,11 +300,14 @@ mod tests {
         assert_eq!(STAGE_ORDER[0], IssueKind::StringOutliers);
         assert_eq!(STAGE_ORDER[3], IssueKind::ColumnType);
         assert_eq!(STAGE_ORDER[7], IssueKind::Uniqueness);
+        // `IssueToggles` indexes kinds by declaration order: it must be
+        // the stage order.
+        assert!(STAGE_ORDER.iter().enumerate().all(|(i, &kind)| kind as usize == i));
     }
 
     #[test]
     fn toggles_disable_stages() {
-        let config = CleanerConfig::only_issue("disguised_missing");
+        let config = CleanerConfig::only_issue(IssueKind::DisguisedMissing);
         let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
         let run = cleaner.clean(&messy()).unwrap();
         assert!(run.ops.iter().all(|o| o.issue == IssueKind::DisguisedMissing));
@@ -403,7 +379,7 @@ mod tests {
 
     #[test]
     fn progress_counts_only_enabled_stages() {
-        let config = CleanerConfig::only_issue("disguised_missing");
+        let config = CleanerConfig::only_issue(IssueKind::DisguisedMissing);
         let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
         let progress = RunProgress::new();
         cleaner.clean_with_progress(&messy(), &progress).unwrap();
@@ -416,7 +392,7 @@ mod tests {
         let cleaner = Cleaner::new(SimLlm::new());
         let table = messy();
         let profile = cocoon_profile::profile_table(&table, &cleaner.config().profile_options());
-        let seeded = cleaner.clean_profiled(&table, profile).unwrap();
+        let seeded = cleaner.clean_seeded(&table, &mut AutoApprove, None, Some(profile)).unwrap();
         let plain = cleaner.clean(&table).unwrap();
         assert_eq!(seeded.table, plain.table);
         assert_eq!(seeded.sql_script(), plain.sql_script());
@@ -429,7 +405,7 @@ mod tests {
         let table = messy();
         let other = csv::read_str("a\n1\n").unwrap();
         let stale = cocoon_profile::profile_table(&other, &cleaner.config().profile_options());
-        let run = cleaner.clean_profiled(&table, stale).unwrap();
+        let run = cleaner.clean_seeded(&table, &mut AutoApprove, None, Some(stale)).unwrap();
         let plain = cleaner.clean(&table).unwrap();
         assert_eq!(run.table, plain.table);
         assert_eq!(run.sql_script(), plain.sql_script());
@@ -452,7 +428,7 @@ mod tests {
 
         let strict = CleanerConfig {
             confidence_threshold: 0.9,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(IssueKind::StringOutliers)
         };
         let withheld = Cleaner::with_config(SimLlm::new(), strict).unwrap().clean(&table).unwrap();
         assert_eq!(withheld.ops.len(), 1, "typo repair applies");
@@ -470,7 +446,7 @@ mod tests {
         // defers work, it never changes it.
         let lenient = CleanerConfig {
             confidence_threshold: 0.0,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(IssueKind::StringOutliers)
         };
         let full = Cleaner::with_config(SimLlm::new(), lenient).unwrap().clean(&table).unwrap();
         assert!(full.pending.is_empty());
@@ -518,10 +494,8 @@ mod entry_profile_differential {
         let cleaner = Cleaner::with_config(SimLlm::new(), config.clone()).unwrap();
         let profiled = cleaner.clean_with_hook(table, &mut hook).unwrap();
         let mut state = PipelineState::new(table.clone(), &llm, &config, &mut hook);
-        for (enabled, _, run) in stages(&config.issues) {
-            if enabled {
-                run(&mut state);
-            }
+        for kind in STAGE_ORDER.into_iter().filter(|&kind| config.issues.enabled(kind)) {
+            run_stage(kind, &mut state);
         }
         assert_eq!(profiled.table, state.table);
         assert_eq!(profiled.ops, state.ops);

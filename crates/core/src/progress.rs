@@ -33,7 +33,7 @@ pub struct StageTiming {
 
 /// Observer of per-stage wall-clock cost, fired at each stage boundary by
 /// the cleaning thread. Attach one with [`RunProgress::set_observer`] and
-/// pass the progress to [`Cleaner::clean_observed`](crate::Cleaner::clean_observed)
+/// pass the progress to [`Cleaner::clean_with_progress`](crate::Cleaner::clean_with_progress)
 /// (or any `clean_*` taking a progress) — library users then see exactly
 /// the timings `cocoon-server` exports in its `latency` metrics.
 ///

@@ -5,27 +5,37 @@
 //! * a **detect** phase — read-only against the table as it stood when the
 //!   stage began. Each unit of detection (a column, an FD candidate) runs
 //!   as an independent task on the stage's thread pool; tasks profile,
-//!   prompt the LLM, and assemble candidate findings (`Outcome::Finding`).
-//!   Results come back in submission order, so output never depends on
-//!   worker scheduling.
+//!   prompt the LLM, and assemble candidate `Finding`s. Results come
+//!   back in submission order, so output never depends on worker
+//!   scheduling.
 //! * a **decide** phase — sequential and ordered. Findings pass through the
 //!   [`DecisionHook`] reviews, compile to SQL, and are applied one at a
 //!   time; `ops` and `notes` record them in deterministic order.
+//!
+//! A stage supplies only what is specific to it: its detect body, the
+//! compile step from its plan to SQL, and the wording of its notes.
+//! [`PipelineState`] owns the rest: the per-column fan-out and its type
+//! gate (`column_stage`), degrading errors to notes, the two reviews and
+//! their rejection notes (`review_detection`, `review_cleaning`), and
+//! applying and committing the repair as a [`CleaningOp`] (`apply`,
+//! `commit`).
 //!
 //! [`PipelineState`] is the mutable half threaded through the decide
 //! phases; [`DetectCtx`] is the shared read-only view handed to detection
 //! workers.
 
+use crate::apply::apply_and_count;
 use crate::config::CleanerConfig;
-use crate::decision::DecisionHook;
-use crate::error::Result;
-use crate::ops::CleaningOp;
+use crate::decision::{CleaningReview, Decision, DecisionHook, DetectionReview};
+use crate::error::{CoreError, Result};
+use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
 use cocoon_llm::{prompts, ChatModel, ChatRequest};
 use cocoon_profile::{ColumnProfile, TableProfile};
-use cocoon_sql::render_select;
-use cocoon_table::Table;
+use cocoon_sql::{render_select, Select};
+use cocoon_table::{DataType, Table};
+use std::fmt;
 use std::sync::Arc;
 use threadpool::ThreadPool;
 
@@ -126,11 +136,36 @@ pub(crate) fn unchanged(
 pub(crate) enum Outcome<F> {
     /// Nothing to report.
     Clean,
-    /// No finding, but a note for the run report (degraded step, FD judged
-    /// not meaningful, unknown type suggestion).
+    /// No finding, but a note for the run report (degraded step, duplicates
+    /// judged acceptable, unknown type suggestion).
     Note(String),
     /// A candidate finding awaiting review and application.
     Finding(F),
+}
+
+/// A candidate issue, in the one shape every stage reports: what the
+/// detection review shows, the confidence its op will carry, and the
+/// stage's own repair `plan` (a value mapping, a target type, bounds, …).
+pub(crate) struct Finding<P> {
+    /// The column at issue; `None` for table-level issues (duplication).
+    pub column: Option<String>,
+    /// The statistics that flagged it.
+    pub evidence: String,
+    /// The model's semantic verdict.
+    pub reasoning: String,
+    /// Weakest self-reported confidence across the completions behind it,
+    /// when any stated one.
+    pub confidence: Option<f64>,
+    /// What the stage's compile step turns into SQL.
+    pub plan: P,
+}
+
+/// The weaker of two optional self-reported confidences.
+pub(crate) fn weakest(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// State shared by all issue steps while a table is being cleaned.
@@ -217,12 +252,31 @@ impl<'a> PipelineState<'a> {
         out
     }
 
-    /// Fans a per-column detection function out across every column.
-    pub(crate) fn detect_columns<R: Send>(
-        &self,
-        detect: impl Fn(&DetectCtx<'_>, usize) -> R + Sync,
-    ) -> Vec<R> {
-        self.detect_map((0..self.table.width()).collect(), detect)
+    /// Runs a per-column stage: `detect(ctx, index, name)` fans out over
+    /// every column whose declared type is `eligible`, then `decide` takes
+    /// the findings in column order. An error in either phase degrades
+    /// that column to the note `{degraded} on "<column>" degraded to
+    /// statistical-only: <error>`.
+    pub(crate) fn column_stage<P: Send>(
+        &mut self,
+        eligible: fn(DataType) -> bool,
+        detect: impl Fn(&DetectCtx<'_>, usize, &str) -> Result<Outcome<Finding<P>>> + Sync,
+        decide: impl FnMut(&mut Self, &Finding<P>) -> Result<()>,
+        degraded: &str,
+    ) {
+        let note = |column: &str, err: &CoreError| {
+            format!("{degraded} on {column:?} degraded to statistical-only: {err}")
+        };
+        let outcomes = self.detect_map((0..self.table.width()).collect(), |ctx, index| {
+            match ctx.table.schema().field(index) {
+                Ok(field) if eligible(field.data_type()) => detect(ctx, index, field.name())
+                    .unwrap_or_else(|err| Outcome::Note(note(field.name(), &err))),
+                _ => Outcome::Clean,
+            }
+        });
+        self.decide_outcomes(outcomes, decide, |finding, err| {
+            note(finding.column.as_deref().unwrap_or_default(), err)
+        });
     }
 
     /// The decide phase every stage shares: outcomes are consumed in
@@ -233,7 +287,7 @@ impl<'a> PipelineState<'a> {
         &mut self,
         outcomes: Vec<Outcome<F>>,
         mut decide: impl FnMut(&mut Self, &F) -> Result<()>,
-        degraded_note: impl Fn(&F, &crate::error::CoreError) -> String,
+        degraded_note: impl Fn(&F, &CoreError) -> String,
     ) {
         for outcome in outcomes {
             match outcome {
@@ -264,11 +318,112 @@ impl<'a> PipelineState<'a> {
         self.notes.push(text.into());
     }
 
+    /// The detection review of `finding`: whether the reviewer lets it
+    /// through. A rejection is noted as "`{what}` rejected by reviewer".
+    pub(crate) fn review_detection<P>(
+        &mut self,
+        issue: IssueKind,
+        finding: &Finding<P>,
+        what: impl fmt::Display,
+    ) -> bool {
+        let review = DetectionReview {
+            issue,
+            column: finding.column.as_deref(),
+            statistical_evidence: &finding.evidence,
+            llm_reasoning: &finding.reasoning,
+        };
+        let approved = self.hook.review_detection(&review) != Decision::Reject;
+        if !approved {
+            self.note(format!("{what} rejected by reviewer"));
+        }
+        approved
+    }
+
+    /// The cleaning review of a mapping repair. `compile` is the stage's
+    /// step from a mapping to the repair's `Select` and the pairs that
+    /// select applies: the reviewer sees the pairs and SQL compiled from
+    /// `proposed`, and the repair is compiled from whichever mapping they
+    /// approve or adjust it to. `None` when nothing is left to apply: no
+    /// pairs compiled, or the reviewer rejected it (noted as "`{what}`
+    /// rejected by reviewer").
+    pub(crate) fn review_cleaning<P>(
+        &mut self,
+        issue: IssueKind,
+        finding: &Finding<P>,
+        explanation: &str,
+        proposed: &[(String, String)],
+        compile: impl Fn(&Table, &[(String, String)]) -> (Select, Vec<(String, String)>),
+        what: impl fmt::Display,
+    ) -> Option<Select> {
+        let (select, pairs) = compile(&self.table, proposed);
+        if pairs.is_empty() {
+            return None;
+        }
+        let preview = render_select(&select);
+        let review = CleaningReview {
+            issue,
+            column: finding.column.as_deref(),
+            llm_explanation: explanation,
+            mapping: &pairs,
+            sql_preview: &preview,
+        };
+        match self.hook.review_cleaning(&review) {
+            Decision::Approve => Some(select),
+            Decision::Reject => {
+                self.note(format!("{what} rejected by reviewer"));
+                None
+            }
+            Decision::AdjustMapping(adjusted) => {
+                let (select, pairs) = compile(&self.table, &adjusted);
+                (!pairs.is_empty()).then_some(select)
+            }
+        }
+    }
+
+    /// Applies `select` to the table and, unless that changed nothing,
+    /// [`commit`](Self::commit)s it as `finding`'s op.
+    pub(crate) fn apply<P>(
+        &mut self,
+        issue: IssueKind,
+        finding: &Finding<P>,
+        select: Select,
+        llm_reasoning: String,
+    ) -> Result<()> {
+        let (table, changed) = apply_and_count(&select, &self.table)?;
+        if changed > 0 {
+            self.commit(issue, finding, select, (table, changed), llm_reasoning);
+        }
+        Ok(())
+    }
+
+    /// Records `select`, already applied as `(table, cells changed)`, as
+    /// `finding`'s op through [`commit_op`](Self::commit_op)'s confidence
+    /// policy. For stages that vet the applied table before committing.
+    pub(crate) fn commit<P>(
+        &mut self,
+        issue: IssueKind,
+        finding: &Finding<P>,
+        select: Select,
+        (table, cells_changed): (Table, usize),
+        llm_reasoning: String,
+    ) {
+        let op = CleaningOp {
+            issue,
+            column: finding.column.clone(),
+            statistical_evidence: finding.evidence.clone(),
+            llm_reasoning,
+            sql: select,
+            cells_changed,
+            confidence: Confidence::self_reported(finding.confidence),
+        };
+        self.commit_op(table, op);
+    }
+
     /// Commits a compiled repair through the confidence policy: a
     /// deterministically sampled subset is first re-verified through
     /// [`prompts::repair_verify`] variants (one model batch, so a
     /// coalescing dispatcher sees a single flight) and the agreement
-    /// fraction is blended into the op's [`Confidence`](crate::Confidence).
+    /// fraction is blended into the op's [`Confidence`].
     /// Repairs scoring at or above [`CleanerConfig::confidence_threshold`]
     /// apply (`table` replaces the working table, the op is recorded);
     /// repairs below are withheld into [`pending`](PipelineState::pending)

@@ -389,7 +389,7 @@ mod tests {
         let table = Table::from_text_rows(&["drink", "country"], &rows).unwrap();
         let config = CleanerConfig {
             confidence_threshold: 0.9,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(cocoon_core::IssueKind::StringOutliers)
         };
         let run = Cleaner::with_config(SimLlm::new(), config).unwrap().clean(&table).unwrap();
         assert_eq!(run.pending.len(), 1, "the misplaced value is withheld");
