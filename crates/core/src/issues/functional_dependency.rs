@@ -6,7 +6,10 @@
 //! Flights `flight → actual time` FD is the canonical rejection); for
 //! meaningful FDs the LLM maps each violating group's wrong values to the
 //! correct one, compiled to a group-scoped `CASE WHEN`. A reviewer's
-//! adjusted mapping compiles under the same group-scoped rule.
+//! adjusted mapping compiles under the same group-scoped rule. Every arm
+//! tests `lhs = … AND rhs = …` and yields a literal, so the SQL engine
+//! runs the repair as one hash probe per row on the `(lhs, rhs)` tuple,
+//! however many arms it has.
 //!
 //! Detect phase (concurrent, per candidate pair): violating groups on the
 //! stage-entry snapshot → semantic FD review. Decide phase (sequential):

@@ -253,7 +253,6 @@ pub enum Selection<'a> {
 
 impl Selection<'_> {
     /// Number of selected rows.
-    /// Number of selected rows.
     pub fn len(&self) -> usize {
         match self {
             Selection::All(n) => *n,
@@ -284,19 +283,21 @@ impl Selection<'_> {
 
 /// Evaluates `expr` column-at-a-time over the selected rows of `table`.
 ///
-/// Literals, column references, casts, unary and binary operators
-/// (comparison, arithmetic, `AND`/`OR`), function calls, and every `CASE`
-/// shape — from literal value maps (`CASE col WHEN 'a' THEN 'b' … ELSE …`,
-/// the workhorse of Cocoon cleaning) to general searched `CASE` — are
-/// computed vectorised; only `IN` lists with non-literal items still fall
-/// back to the row-wise [`eval`], which also serves as the semantic oracle
-/// for the differential tests. Fast paths preserve row-wise *success*
-/// semantics exactly, and error exactly when the row-wise path would —
-/// though when several rows or nested subexpressions fail,
-/// expression-at-a-time evaluation may surface a different one of those
-/// errors than the strictly row-ordered oracle. Sequential-`CASE` laziness
-/// is preserved by evaluating each arm only over the rows no earlier arm
-/// matched (see `eval_case_lazy`).
+/// Every expression is computed vectorised: literals, column references,
+/// casts, unary and binary operators (comparison, arithmetic, `AND`/`OR`),
+/// function calls, `IN` lists and every `CASE` shape. The `CASE`s that
+/// dominate Cocoon cleaning — literal value maps (`CASE col WHEN 'a' THEN
+/// 'b' … ELSE col END`) and group-scoped FD repairs (`CASE WHEN k = 'x' AND
+/// col = 'y' THEN 'z' … ELSE col END`) — run as one hash probe per row (see
+/// `CaseMap`); literal-only `IN` lists likewise. The row-wise [`eval`]
+/// remains the semantic oracle for the differential tests. Fast paths
+/// preserve row-wise *success* semantics exactly, and error exactly when
+/// the row-wise path would — though when several rows or nested
+/// subexpressions fail, expression-at-a-time evaluation may surface a
+/// different one of those errors than the strictly row-ordered oracle.
+/// Sequential laziness is preserved by evaluating each `CASE` arm, and each
+/// `IN` item, only over the rows no earlier arm or item matched (see
+/// `eval_case_lazy` and `eval_in_list_lazy`).
 pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Column> {
     match expr {
         Expr::Literal(v) => Ok(Column::new(vec![v.clone(); sel.len()])),
@@ -352,14 +353,6 @@ pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Co
                 _ => zipped.map(|(l, r)| eval_binary(*op, l, r)).collect(),
             }
         }
-        Expr::Case { operand: Some(operand), arms, otherwise }
-            if arms
-                .iter()
-                .all(|(w, t)| matches!(w, Expr::Literal(_)) && matches!(t, Expr::Literal(_)))
-                && value_map_fallback_is_safe(operand, otherwise.as_deref()) =>
-        {
-            eval_value_map(operand, arms, otherwise.as_deref(), table, sel)
-        }
         Expr::InList { expr, list, negated }
             if list.iter().all(|item| matches!(item, Expr::Literal(_))) =>
         {
@@ -396,8 +389,13 @@ pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Co
                 })
                 .collect())
         }
+        Expr::InList { expr, list, negated } => eval_in_list_lazy(expr, list, *negated, table, sel),
         Expr::Case { operand, arms, otherwise } => {
-            eval_case_lazy(operand.as_deref(), arms, otherwise.as_deref(), table, sel)
+            let (operand, otherwise) = (operand.as_deref(), otherwise.as_deref());
+            match CaseMap::new(operand, arms, otherwise, table) {
+                Some(map) => map.eval(table, sel),
+                None => eval_case_lazy(operand, arms, otherwise, table, sel),
+            }
         }
         Expr::Func { name, args } => {
             // Row-wise `Func` evaluates every argument unconditionally, so
@@ -416,8 +414,52 @@ pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Co
             }
             Ok(Column::new(out))
         }
-        _ => sel.iter().map(|row| eval(expr, &RowContext::new(table, row))).collect(),
     }
+}
+
+/// Vectorised `IN` list with non-literal items, as lazy as the row-wise
+/// scan: the subject is evaluated once, and item k only over the rows whose
+/// subject is non-NULL and that no earlier item matched. A NULL item turns
+/// a row's eventual miss into NULL, but the scan goes on for that row.
+fn eval_in_list_lazy(
+    subject: &Expr,
+    list: &[Expr],
+    negated: bool,
+    table: &Table,
+    sel: &Selection<'_>,
+) -> Result<Column> {
+    let subject = eval_column(subject, table, sel)?.into_values();
+    let mut out: Vec<Value> = vec![Value::Null; subject.len()];
+    let mut saw_null = vec![false; subject.len()];
+    // Unmatched rows with a non-NULL subject, paired with their slots in
+    // the output column. Both shrink together as items claim rows.
+    let (mut rows, mut slots): (Vec<usize>, Vec<usize>) =
+        sel.iter().zip(0..).filter(|&(_, slot)| !subject[slot].is_null()).unzip();
+    for item in list {
+        if rows.is_empty() {
+            break;
+        }
+        let candidates = eval_column(item, table, &Selection::Rows(&rows))?;
+        let mut kept = 0;
+        for (i, candidate) in candidates.values().iter().enumerate() {
+            let slot = slots[i];
+            if candidate.is_null() {
+                saw_null[slot] = true;
+            } else if subject[slot] == *candidate {
+                out[slot] = Value::Bool(!negated);
+                continue;
+            }
+            rows[kept] = rows[i];
+            slots[kept] = slot;
+            kept += 1;
+        }
+        rows.truncate(kept);
+        slots.truncate(kept);
+    }
+    for slot in slots {
+        out[slot] = if saw_null[slot] { Value::Null } else { Value::Bool(negated) };
+    }
+    Ok(Column::new(out))
 }
 
 /// Vectorised general `CASE`, preserving sequential laziness: each arm's
@@ -485,66 +527,159 @@ fn eval_case_lazy(
     Ok(Column::new(out))
 }
 
-/// The vectorised value map evaluates `otherwise` for *every* row, while
-/// sequential CASE only reaches it on rows no arm matched. That is only
-/// safe when `otherwise` cannot raise an evaluation error: absent, a
-/// literal, or the operand column itself (already evaluated as the
-/// subject). Anything else takes the row-wise path.
-fn value_map_fallback_is_safe(operand: &Expr, otherwise: Option<&Expr>) -> bool {
-    match otherwise {
-        None | Some(Expr::Literal(_)) => true,
-        Some(o) => o == operand,
+/// A `CASE` that maps a tuple of literal keys to a literal result, run as
+/// one hash probe per row instead of arm by arm. Two shapes qualify:
+///
+/// - a simple `CASE operand WHEN lit THEN lit … END`, keyed on the operand
+///   (the 1-tuple: the value maps of string outliers, DMV and column type);
+/// - a searched `CASE WHEN k1 = lit AND k2 = lit … THEN lit … END` whose
+///   every `WHEN` is an `AND`-tree of `column = literal` leaves (either
+///   side) over the same set of key columns, each named once per arm (the
+///   group-scoped FD repair).
+///
+/// `ELSE` must be absent, a literal, a column, or the simple CASE's
+/// operand. None of these can fail once their columns resolve, so
+/// evaluating them for every row is indistinguishable from sequential
+/// CASE's laziness. Any other shape, and one naming a column the table
+/// lacks, is left to `eval_case_lazy`.
+///
+/// `Value`'s `Hash`/`Eq` agree with the `=` and simple-CASE comparisons for
+/// non-null values (Int/Float cross-type included). Both are NULL-rejecting,
+/// so an arm with a NULL key literal matches no row and is left out of the
+/// table — and a row with a NULL key cell then misses and gets `ELSE`.
+struct CaseMap<'a> {
+    keys: Keys<'a>,
+    /// Key tuple → `THEN` literal; the first arm wins on duplicate keys, as
+    /// in sequential CASE.
+    arms: HashMap<Vec<&'a Value>, &'a Value>,
+    otherwise: Else<'a>,
+}
+
+/// Where a [`CaseMap`] reads each row's key tuple.
+enum Keys<'a> {
+    /// Table columns in tuple order, read in place at each selected row.
+    Columns(Vec<&'a [Value]>),
+    /// A simple CASE's operand that is not a bare column: evaluated once
+    /// over the selection, then read at each row's slot.
+    Operand(&'a Expr),
+}
+
+/// What a [`CaseMap`] row no arm matched evaluates to.
+enum Else<'a> {
+    Literal(&'a Value),
+    /// A table column, read at the row.
+    Column(&'a [Value]),
+    /// The already-evaluated operand of [`Keys::Operand`].
+    Operand,
+}
+
+impl<'a> CaseMap<'a> {
+    /// Recognises the shape, or `None` for `eval_case_lazy` to handle.
+    fn new(
+        operand: Option<&'a Expr>,
+        arms: &'a [(Expr, Expr)],
+        otherwise: Option<&'a Expr>,
+        table: &'a Table,
+    ) -> Option<Self> {
+        let column = |name: &str| -> Option<&'a [Value]> {
+            let idx = table.schema().index_of(name).ok()?;
+            Some(table.column(idx).ok()?.values())
+        };
+        let mut map = HashMap::with_capacity(arms.len());
+        let mut insert = |key: Vec<&'a Value>, then: &'a Value| {
+            if !key.iter().any(|v| v.is_null()) {
+                map.entry(key).or_insert(then);
+            }
+        };
+        let keys = match operand {
+            Some(operand) => {
+                for (when, then) in arms {
+                    let (Expr::Literal(key), Expr::Literal(then)) = (when, then) else {
+                        return None;
+                    };
+                    insert(vec![key], then);
+                }
+                match operand {
+                    Expr::Column(name) => Keys::Columns(vec![column(name)?]),
+                    _ => Keys::Operand(operand),
+                }
+            }
+            None => {
+                // Key column names, sorted, as the first arm fixes them.
+                let mut names: Option<Vec<&str>> = None;
+                for (when, then) in arms {
+                    let Expr::Literal(then) = then else { return None };
+                    let mut leaves = Vec::new();
+                    key_leaves(when, &mut leaves)?;
+                    leaves.sort_unstable_by_key(|&(name, _)| name);
+                    let arm_names: Vec<&str> = leaves.iter().map(|&(name, _)| name).collect();
+                    if arm_names.windows(2).any(|pair| pair[0] == pair[1])
+                        || names.as_ref().is_some_and(|names| *names != arm_names)
+                    {
+                        return None;
+                    }
+                    names.get_or_insert(arm_names);
+                    insert(leaves.into_iter().map(|(_, key)| key).collect(), then);
+                }
+                Keys::Columns(names?.into_iter().map(column).collect::<Option<_>>()?)
+            }
+        };
+        let otherwise = match (otherwise, &keys) {
+            (None, _) => Else::Literal(&Value::Null),
+            (Some(Expr::Literal(v)), _) => Else::Literal(v),
+            (Some(o), Keys::Operand(operand)) if o == *operand => Else::Operand,
+            (Some(Expr::Column(name)), Keys::Columns(_)) => Else::Column(column(name)?),
+            _ => return None,
+        };
+        Some(CaseMap { keys, arms: map, otherwise })
+    }
+
+    fn eval(&self, table: &Table, sel: &Selection<'_>) -> Result<Column> {
+        let subject: Column;
+        let (keys, at) = match &self.keys {
+            Keys::Columns(columns) => (columns.clone(), sel.clone()),
+            Keys::Operand(operand) => {
+                subject = eval_column(operand, table, sel)?;
+                (vec![subject.values()], Selection::All(subject.len()))
+            }
+        };
+        let mut key: Vec<&Value> = Vec::with_capacity(keys.len());
+        let out = at
+            .iter()
+            .map(|i| {
+                key.clear();
+                key.extend(keys.iter().map(|column| &column[i]));
+                match self.arms.get(key.as_slice()) {
+                    Some(then) => (*then).clone(),
+                    None => match self.otherwise {
+                        Else::Literal(v) => v.clone(),
+                        Else::Column(column) => column[i].clone(),
+                        Else::Operand => keys[0][i].clone(),
+                    },
+                }
+            })
+            .collect();
+        Ok(out)
     }
 }
 
-/// Vectorised literal value map: one hash lookup per cell instead of a
-/// linear scan of the arms. `Value`'s `Hash`/`Eq` agree with `sql_eq` for
-/// non-null values (Int/Float cross-type included), and a NULL subject
-/// matches no arm under `sql_eq` — so routing NULL subjects to the
-/// `otherwise` branch reproduces simple-`CASE` semantics exactly.
-fn eval_value_map(
-    operand: &Expr,
-    arms: &[(Expr, Expr)],
-    otherwise: Option<&Expr>,
-    table: &Table,
-    sel: &Selection<'_>,
-) -> Result<Column> {
-    let mut map: HashMap<&Value, &Value> = HashMap::with_capacity(arms.len());
-    for (when, then) in arms {
-        let (Expr::Literal(w), Expr::Literal(t)) = (when, then) else {
-            unreachable!("guarded by the caller");
-        };
-        if !w.is_null() {
-            // First arm wins on duplicate keys, as in sequential CASE.
-            map.entry(w).or_insert(t);
+/// Collects the `column = literal` leaves of an `AND`-tree, or `None` when
+/// any node is something else.
+fn key_leaves<'a>(when: &'a Expr, out: &mut Vec<(&'a str, &'a Value)>) -> Option<()> {
+    match when {
+        Expr::Binary { op: BinaryOp::And, left, right } => {
+            key_leaves(left, out)?;
+            key_leaves(right, out)
         }
-    }
-    let subject = eval_column(operand, table, sel)?;
-    // The common cleaning shape ends `ELSE <operand>`; reuse the already
-    // materialised subject column instead of evaluating it again.
-    let reuse_subject = otherwise == Some(operand);
-    let fallback: Option<Column> = match otherwise {
-        Some(o) if !reuse_subject => Some(eval_column(o, table, sel)?),
+        Expr::Binary { op: BinaryOp::Eq, left, right } => match (&**left, &**right) {
+            (Expr::Column(name), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(name)) => {
+                out.push((name, v));
+                Some(())
+            }
+            _ => None,
+        },
         _ => None,
-    };
-    let out = subject
-        .into_values()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| {
-            if !v.is_null() {
-                if let Some(mapped) = map.get(&v) {
-                    return (*mapped).clone();
-                }
-            }
-            if reuse_subject {
-                v
-            } else {
-                fallback.as_ref().map_or(Value::Null, |f| f.values()[i].clone())
-            }
-        })
-        .collect();
-    Ok(out)
+    }
 }
 
 /// Infers the output type of an expression against a schema (used to type
@@ -772,8 +907,10 @@ mod tests {
             in_list(id_int(), vec![Expr::lit(1.0), Expr::lit(7i64)], false),
             // Empty list: always a (possibly negated) miss.
             in_list(Expr::col("lang"), vec![], false),
-            // Non-literal list items take the row-wise fallback.
+            // Non-literal list items take the lazy item-by-item path.
             in_list(Expr::col("lang"), vec![Expr::col("lang")], false),
+            in_list(Expr::col("lang"), vec![Expr::lit("zzz"), Expr::col("lang")], true),
+            in_list(id_int(), vec![Expr::null(), Expr::lit(2.0), id_int()], false),
         ] {
             for sel in [Selection::All(t.height()), Selection::Rows(&[1]), Selection::Rows(&[])] {
                 let columnar = eval_column(&expr, &t, &sel).unwrap();
@@ -781,6 +918,26 @@ mod tests {
                     sel.iter().map(|row| eval(&expr, &RowContext::new(&t, row)).unwrap()).collect();
                 assert_eq!(columnar.values(), &rowwise[..], "{expr:?}");
             }
+        }
+        // A later item that would fail is evaluated only on the rows no
+        // earlier item matched: `NULLIF(s, '5')` claims "eng", so the strict
+        // CAST only ever sees "5" (and misses it: Text vs Int). The NULL
+        // the first item gave "5" turns that miss into NULL.
+        let rows: Vec<Vec<String>> = vec![vec!["eng".into()], vec!["5".into()]];
+        let t = Table::from_text_rows(&["s"], &rows).unwrap();
+        let expr = in_list(
+            Expr::col("s"),
+            vec![
+                Expr::func("NULLIF", vec![Expr::col("s"), Expr::lit("5")]),
+                Expr::cast(Expr::col("s"), DataType::Int),
+            ],
+            false,
+        );
+        let sel = Selection::All(t.height());
+        let columnar = eval_column(&expr, &t, &sel).unwrap();
+        assert_eq!(columnar.values(), &[Value::Bool(true), Value::Null]);
+        for row in 0..t.height() {
+            assert_eq!(eval(&expr, &RowContext::new(&t, row)).unwrap(), columnar.values()[row]);
         }
     }
 
@@ -886,6 +1043,168 @@ mod tests {
         };
         assert!(eval_column(&expr, &t, &sel).is_err());
         assert!(eval(&expr, &RowContext::new(&t, 0)).is_err());
+    }
+
+    /// A three-column table `k`, `v`, `s` with NULL, Int/Float and -0.0
+    /// cells, and a duplicated `(k, v)` pair.
+    fn keyed_table() -> Table {
+        let rows: Vec<Vec<String>> = (0..6).map(|_| vec![String::new(); 3]).collect();
+        let mut t = Table::from_text_rows(&["k", "v", "s"], &rows).unwrap();
+        let cells = [
+            [Value::from("a"), Value::Int(1), Value::from("5")],
+            [Value::from("a"), Value::Float(1.0), Value::from("x")],
+            [Value::from("b"), Value::Float(-0.0), Value::from("7")],
+            [Value::Null, Value::Int(1), Value::from("8")],
+            [Value::from("b"), Value::Null, Value::from("9")],
+            [Value::from("a"), Value::Int(1), Value::from("5")],
+        ];
+        for (row, cells) in cells.into_iter().enumerate() {
+            for (col, v) in cells.into_iter().enumerate() {
+                t.set_cell(row, col, v).unwrap();
+            }
+        }
+        t
+    }
+
+    fn searched(arms: Vec<(Expr, Expr)>, otherwise: Option<Expr>) -> Expr {
+        Expr::Case { operand: None, arms, otherwise: otherwise.map(Box::new) }
+    }
+
+    /// Asserts the columnar result equals the row-wise one on every
+    /// selection, `Ok` in both paths, and reports whether `expr` is a CASE
+    /// the hash map takes.
+    fn matches_rowwise(expr: &Expr, t: &Table) -> bool {
+        let subset = [4, 1, 0];
+        for sel in [Selection::All(t.height()), Selection::Rows(&subset), Selection::Rows(&[])] {
+            let columnar = eval_column(expr, t, &sel).unwrap();
+            let rowwise: Vec<Value> =
+                sel.iter().map(|row| eval(expr, &RowContext::new(t, row)).unwrap()).collect();
+            assert_eq!(columnar.values(), &rowwise[..], "{expr:?}");
+        }
+        let Expr::Case { operand, arms, otherwise } = expr else { return false };
+        CaseMap::new(operand.as_deref(), arms, otherwise.as_deref(), t).is_some()
+    }
+
+    #[test]
+    fn fd_case_maps_probe_once_and_match_rowwise() {
+        let t = keyed_table();
+        let kv = |k: Value, v: Value| {
+            Expr::and(
+                Expr::eq(Expr::col("k"), Expr::Literal(k)),
+                Expr::eq(Expr::col("v"), Expr::Literal(v)),
+            )
+        };
+        for expr in [
+            // The FD repair shape, with Int/Float and -0.0 keys.
+            searched(
+                vec![
+                    (kv(Value::from("a"), Value::Float(1.0)), Expr::lit("one")),
+                    (kv(Value::from("b"), Value::Int(0)), Expr::lit("zero")),
+                ],
+                Some(Expr::col("v")),
+            ),
+            // Leaf order flipped per arm, `literal = column`, a duplicate
+            // key (the first arm wins) and a NULL key (never matches).
+            searched(
+                vec![
+                    (
+                        Expr::and(
+                            Expr::eq(Expr::lit(1i64), Expr::col("v")),
+                            Expr::eq(Expr::col("k"), Expr::lit("a")),
+                        ),
+                        Expr::lit("first"),
+                    ),
+                    (kv(Value::from("a"), Value::Int(1)), Expr::lit("second")),
+                    (kv(Value::Null, Value::Int(1)), Expr::lit("null key")),
+                ],
+                Some(Expr::lit("else")),
+            ),
+            // A three-key AND-tree, no ELSE, and ELSE a column outside the key.
+            searched(
+                vec![(
+                    Expr::and(
+                        Expr::eq(Expr::col("s"), Expr::lit("5")),
+                        kv(Value::from("a"), Value::Int(1)),
+                    ),
+                    Expr::lit(true),
+                )],
+                None,
+            ),
+            searched(
+                vec![(kv(Value::from("b"), Value::Float(0.0)), Expr::null())],
+                Some(Expr::col("s")),
+            ),
+            // The 1-tuple: simple CASE on a column and on a computed operand
+            // (`ELSE operand` reuses the evaluated subject).
+            Expr::value_map(
+                "v",
+                &[(Value::Int(1), Value::from("one")), (Value::Null, Value::from("n"))],
+            ),
+            Expr::Case {
+                operand: Some(Box::new(Expr::func("UPPER", vec![Expr::col("k")]))),
+                arms: vec![(Expr::lit("A"), Expr::lit("upper a"))],
+                otherwise: Some(Box::new(Expr::func("UPPER", vec![Expr::col("k")]))),
+            },
+        ] {
+            assert!(matches_rowwise(&expr, &t), "hash path refused {expr:?}");
+        }
+    }
+
+    #[test]
+    fn near_miss_case_shapes_stay_lazy_and_match_rowwise() {
+        let t = keyed_table();
+        let eq = |c: &str, v: Value| Expr::eq(Expr::col(c), Expr::Literal(v));
+        for expr in [
+            // An OR leaf.
+            searched(
+                vec![(Expr::or(eq("k", Value::from("a")), eq("v", Value::Int(1))), Expr::lit("x"))],
+                Some(Expr::col("v")),
+            ),
+            // One column named twice in an arm.
+            searched(
+                vec![(Expr::and(eq("v", Value::Int(1)), eq("v", Value::Int(2))), Expr::lit("x"))],
+                None,
+            ),
+            // Arms over different key-column sets.
+            searched(
+                vec![
+                    (eq("k", Value::from("a")), Expr::lit("x")),
+                    (eq("v", Value::Int(1)), Expr::lit("y")),
+                ],
+                Some(Expr::col("k")),
+            ),
+            // A non-literal THEN.
+            searched(vec![(eq("k", Value::from("a")), Expr::col("s"))], None),
+            // An unknown column in an arm no row reaches: every row has a
+            // non-NULL `s`.
+            searched(
+                vec![
+                    (
+                        Expr::Unary { op: UnaryOp::IsNotNull, expr: Box::new(Expr::col("s")) },
+                        Expr::lit("x"),
+                    ),
+                    (eq("nope", Value::Int(1)), Expr::lit("y")),
+                ],
+                None,
+            ),
+        ] {
+            assert!(!matches_rowwise(&expr, &t), "hash path took {expr:?}");
+        }
+        // A key column the table lacks, on a selection that reaches no arm.
+        let arms = vec![(eq("nope", Value::Int(1)), Expr::lit("y"))];
+        assert!(CaseMap::new(None, &arms, None, &t).is_none());
+        let unknown = searched(arms, None);
+        assert!(eval_column(&unknown, &t, &Selection::Rows(&[])).unwrap().values().is_empty());
+        // A strict CAST ELSE that fails only on the row an arm claimed ("x"
+        // in row 1): the hash map would evaluate ELSE on every row.
+        let expr = searched(
+            vec![(
+                Expr::and(eq("k", Value::from("a")), eq("s", Value::from("x"))),
+                Expr::lit(0i64),
+            )],
+            Some(Expr::cast(Expr::col("s"), DataType::Int)),
+        );
+        assert!(!matches_rowwise(&expr, &t));
     }
 
     #[test]

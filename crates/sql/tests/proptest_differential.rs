@@ -25,25 +25,103 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A two-column table `a`, `b` of 0..12 rows with mixed cell values.
+/// The generated table's columns.
+const COLUMNS: [&str; 3] = ["a", "b", "c"];
+
+/// A three-column table `a`, `b`, `c` of 0..12 rows with mixed cell values.
 fn table() -> impl Strategy<Value = Table> {
-    proptest::collection::vec((value(), value()), 0..12).prop_map(|cells| {
-        let (a, b): (Vec<Value>, Vec<Value>) = cells.into_iter().unzip();
+    proptest::collection::vec((value(), value(), value()), 0..12).prop_map(|cells| {
+        let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+        for (a, b, c) in cells {
+            columns[0].push(a);
+            columns[1].push(b);
+            columns[2].push(c);
+        }
         Table::new(
-            Schema::all_text(&["a", "b"]).expect("schema"),
-            vec![Column::new(a), Column::new(b)],
+            Schema::all_text(&COLUMNS).expect("schema"),
+            columns.into_iter().map(Column::new).collect(),
         )
         .expect("table")
     })
 }
 
 fn column_ref() -> impl Strategy<Value = Expr> {
-    prop_oneof![Just(Expr::col("a")), Just(Expr::col("b"))]
+    prop_oneof![Just(Expr::col("a")), Just(Expr::col("b")), Just(Expr::col("c"))]
 }
 
-/// Scalar expressions covering every evaluator fast path (literal, column,
-/// cast, literal value map) plus shapes that force the scalar fallback
-/// (logic, arithmetic, searched CASE, IN lists).
+/// FD key literals: a narrow domain, so arms often hit generated cells,
+/// with NULL, Int/Float agreement and -0.0 == 0.
+fn key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::from("")),
+        Just(Value::from("a")),
+        Just(Value::Int(0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Int(1)),
+        Just(Value::Float(1.0)),
+    ]
+}
+
+/// The group-scoped FD repair shape, `CASE WHEN k1 = lit AND … THEN lit …
+/// ELSE … END`, over 1–3 key columns. Each arm shuffles its leaves and
+/// flips some to `lit = col`; a duplicate of the first arm's key with
+/// another result may follow. `ELSE` is absent, a literal, a key column, a
+/// column outside the key (a key column when all three are keys), or a
+/// strict `CAST`, which the hash map refuses.
+fn fd_case() -> impl Strategy<Value = Expr> {
+    (1usize..=3, 0usize..3).prop_flat_map(|(width, first)| {
+        let keys: Vec<&'static str> = (0..width).map(|i| COLUMNS[(first + i) % 3]).collect();
+        let arm = (
+            proptest::collection::vec((key(), any::<bool>()), width),
+            0usize..3,
+            any::<bool>(),
+            value(),
+        );
+        (proptest::collection::vec(arm, 1..5), any::<bool>(), 0usize..5, value()).prop_map(
+            move |(arms, duplicate, otherwise, else_literal)| {
+                let mut arms: Vec<(Expr, Expr)> = arms
+                    .into_iter()
+                    .map(|(leaves, rotate, reverse, then)| {
+                        let mut leaves: Vec<Expr> = keys
+                            .iter()
+                            .zip(leaves)
+                            .map(|(column, (key, flip))| {
+                                let (column, key) = (Expr::col(*column), Expr::Literal(key));
+                                if flip {
+                                    Expr::eq(key, column)
+                                } else {
+                                    Expr::eq(column, key)
+                                }
+                            })
+                            .collect();
+                        leaves.rotate_left(rotate % width);
+                        if reverse {
+                            leaves.reverse();
+                        }
+                        let when = leaves.into_iter().reduce(Expr::and).expect("one leaf or more");
+                        (when, Expr::Literal(then))
+                    })
+                    .collect();
+                if duplicate {
+                    arms.push((arms[0].0.clone(), Expr::lit("duplicate")));
+                }
+                let otherwise = match otherwise {
+                    0 => None,
+                    1 => Some(Expr::Literal(else_literal)),
+                    2 => Some(Expr::col(keys[0])),
+                    3 => Some(Expr::col(COLUMNS[(first + width) % 3])),
+                    _ => Some(Expr::cast(Expr::col(keys[0]), cocoon_table::DataType::Int)),
+                };
+                Expr::Case { operand: None, arms, otherwise: otherwise.map(Box::new) }
+            },
+        )
+    })
+}
+
+/// Scalar expressions covering every evaluator path: literal, column,
+/// cast, logic, arithmetic, CASE maps (literal value maps and the FD
+/// shape), lazy searched CASE and IN lists.
 fn expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![value().prop_map(Expr::Literal), column_ref()];
     leaf.prop_recursive(3, 24, 3, |inner| {
@@ -76,12 +154,14 @@ fn expr() -> impl Strategy<Value = Expr> {
                     otherwise: Some(Box::new(col)),
                 }
             ),
-            // Searched CASE: always takes the row-wise fallback.
+            // General searched CASE: arm by arm over the rows no earlier
+            // arm matched.
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, o)| Expr::Case {
                 operand: None,
                 arms: vec![(c, t)],
                 otherwise: Some(Box::new(o)),
             }),
+            fd_case(),
             (inner.clone(), proptest::collection::vec(inner.clone(), 1..3))
                 .prop_map(|(e, list)| Expr::InList { expr: Box::new(e), list, negated: false }),
             inner.clone().prop_map(|e| Expr::try_cast(e, cocoon_table::DataType::Int)),
@@ -144,6 +224,35 @@ proptest! {
         let columnar = execute(&s, &t);
         let rowwise = execute_rowwise(&s, &t);
         match (columnar, rowwise) {
+            (Ok(c), Ok(r)) => prop_assert_eq!(c, r),
+            (Err(_), Err(_)) => {}
+            (c, r) => prop_assert!(
+                false,
+                "executors disagree: columnar={:?} rowwise={:?}",
+                c.map(|t| t.to_string()),
+                r.map(|t| t.to_string())
+            ),
+        }
+    }
+
+    /// The FD repair shape on its own, over every row and over a `WHERE`'s
+    /// survivors: the hash probe (or, for a strict-CAST `ELSE`, the lazy
+    /// arm-by-arm path) agrees with the row-wise oracle.
+    #[test]
+    fn fd_case_matches_rowwise_oracle(
+        t in table(),
+        case in fd_case(),
+        where_clause in prop_oneof![Just(None), expr().prop_map(Some)],
+    ) {
+        let s = Select {
+            distinct: false,
+            projections: vec![Projection::Star, Projection::aliased(case, "repaired")],
+            from: "t".into(),
+            where_clause,
+            qualify: None,
+            comment: None,
+        };
+        match (execute(&s, &t), execute_rowwise(&s, &t)) {
             (Ok(c), Ok(r)) => prop_assert_eq!(c, r),
             (Err(_), Err(_)) => {}
             (c, r) => prop_assert!(
